@@ -12,19 +12,13 @@ Allowlists live at scripts/allowlists/<rule-id>.txt, one entry per line:
 
 where <path> is the repo-relative file and <substring> must appear in the
 offending source line ('#' starts a comment; empty substring matches any
-line of the file). Unlike the legacy combined allowlist, an entry only ever
-suppresses its own rule. Stale entries -- entries matching no current
-finding -- are themselves reported as findings (rule `allowlist-stale`):
-an allowlist that outlives its justification silently re-opens the hole it
-documented.
-
-The legacy scripts/concurrency_allowlist.txt (<path>:<rule>:<substring>) is
-still read through a deprecation shim that warns and maps entries onto the
-per-rule form; new entries must not be added there.
+line of the file). An entry only ever suppresses its own rule. Stale
+entries -- entries matching no current finding -- are themselves reported
+as findings (rule `allowlist-stale`): an allowlist that outlives its
+justification silently re-opens the hole it documented.
 """
 
 import pathlib
-import sys
 import time
 
 from . import cppmodel
@@ -113,39 +107,6 @@ def load_allowlists(repo_root, rule_ids):
                 _parse_per_rule_lines(f.read_text().splitlines(), str(f),
                                       errors))
 
-    # Deprecation shim for the legacy combined allowlist.
-    legacy = repo_root / "scripts" / "concurrency_allowlist.txt"
-    if legacy.is_file():
-        lines = legacy.read_text().splitlines()
-        migrated = 0
-        for idx, raw_line in enumerate(lines, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(":", 2)
-            if len(parts) != 3:
-                errors.append(f"{legacy}:{idx}: malformed legacy entry: "
-                              f"{line}")
-                continue
-            path, rule_id, substring = parts
-            targets = [rule_id] if rule_id != "*" else list(per_rule)
-            known = False
-            for target in targets:
-                if target in per_rule:
-                    per_rule[target].append(
-                        (path, substring, f"{legacy}:{idx}"))
-                    known = True
-            if not known:
-                errors.append(f"{legacy}:{idx}: legacy entry names unknown "
-                              f"rule '{rule_id}'")
-            migrated += 1
-        if migrated:
-            print(
-                f"mmjoin_lint: warning: {legacy.name} is deprecated; move "
-                f"its {migrated} entr{'y' if migrated == 1 else 'ies'} to "
-                "scripts/allowlists/<rule>.txt",
-                file=sys.stderr,
-            )
     return per_rule, errors
 
 

@@ -12,10 +12,10 @@ Two textual checks approximate that protocol in src/join/ TUs:
 
   abort-test    for every `ArriveAndWait()` whose preceding barrier
                 segment performs an abort Set (`abort.Set(` /
-                `abort->Set(`), an `IsSet()` test must appear within a few
-                lines after the barrier. A Set that is published at a
-                barrier nobody re-checks is a join that continues past its
-                own failure.
+                `abort->Set(` / `abort_.Set(`), an `IsSet()` test must
+                appear within a few lines after the barrier. A Set that
+                is published at a barrier nobody re-checks is a join that
+                continues past its own failure.
 
   failpoint-escape  every phase failpoint evaluation
                 (`<Phase>AllocFailpoint()`) must have its failure
@@ -39,7 +39,8 @@ from .engine import Finding, register
 RULE = "barrier-protocol"
 
 BARRIER_RE = re.compile(r"\bArriveAndWait\s*\(\s*\)")
-ABORT_SET_RE = re.compile(r"\babort\s*(?:\.|->)\s*Set\s*\(")
+# `abort` locals/parameters and `abort_` members alike.
+ABORT_SET_RE = re.compile(r"\babort_?\s*(?:\.|->)\s*Set\s*\(")
 IS_SET_RE = re.compile(r"\bIsSet\s*\(\s*\)")
 PHASE_FAILPOINT_RE = re.compile(
     r"\b(Partition|Build|Probe|Materialize)AllocFailpoint\s*\(\s*\)")

@@ -1,8 +1,6 @@
-"""Concurrency rules, ported from the original scripts/lint_concurrency.py.
-
-Same regexes and heuristics; only the plumbing changed (SourceFile views,
-per-rule allowlists). Rule-by-rule rationale lives in
-docs/STATIC_ANALYSIS.md.
+"""Concurrency rules: atomic-order, raw-thread, join-loop-alloc,
+nondeterminism, padded-assert, deque-guard, exec-guard, budget-guard and
+bare-escape. Rule-by-rule rationale lives in docs/STATIC_ANALYSIS.md.
 """
 
 import re

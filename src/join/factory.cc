@@ -5,10 +5,9 @@ namespace mmjoin::join {
 
 std::unique_ptr<JoinAlgorithm> CreateJoin(Algorithm algorithm) {
   using internal::MakeChtJoin;
-  using internal::MakeCprJoin;
   using internal::MakeMwayJoin;
   using internal::MakeNopJoin;
-  using internal::MakePrJoin;
+  using internal::MakeRadixJoin;
   switch (algorithm) {
     case Algorithm::kNOP:
       return MakeNopJoin(/*array_table=*/false);
@@ -25,10 +24,9 @@ std::unique_ptr<JoinAlgorithm> CreateJoin(Algorithm algorithm) {
     case Algorithm::kPROiS:
     case Algorithm::kPRLiS:
     case Algorithm::kPRAiS:
-      return MakePrJoin(algorithm);
     case Algorithm::kCPRL:
     case Algorithm::kCPRA:
-      return MakeCprJoin(algorithm);
+      return MakeRadixJoin(algorithm);
   }
   MMJOIN_CHECK(false && "unknown algorithm");
   return nullptr;

@@ -193,8 +193,7 @@ inline Status InjectedAllocError(const char* phase) {
 
 // Forces the radix joins onto the spill-wave degradation path regardless of
 // the budget arithmetic, so tests can drive stage 2 deterministically (see
-// docs/ROBUSTNESS.md). Shared across the PR*/CPR* TUs like the alloc.*
-// failpoints above.
+// docs/ROBUSTNESS.md). Evaluated only by PlanRadixJoin.
 inline bool WaveBudgetFailpoint() { return MMJOIN_FAILPOINT("budget.wave"); }
 
 // Stage-3 rejection: even maximum degradation (bit escalation, one pass,
@@ -339,8 +338,8 @@ void ProbeRange(const Table& table, const Tuple* probe, uint64_t begin,
 std::unique_ptr<JoinAlgorithm> MakeNopJoin(bool array_table);
 std::unique_ptr<JoinAlgorithm> MakeChtJoin();
 std::unique_ptr<JoinAlgorithm> MakeMwayJoin();
-std::unique_ptr<JoinAlgorithm> MakePrJoin(Algorithm variant);
-std::unique_ptr<JoinAlgorithm> MakeCprJoin(Algorithm variant);
+// The nine partition-based joins (PR*, CPR*), all in radix_join.cc.
+std::unique_ptr<JoinAlgorithm> MakeRadixJoin(Algorithm variant);
 
 }  // namespace mmjoin::join::internal
 

@@ -1,6 +1,8 @@
 #include "partition/radix.h"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "mem/aligned_alloc.h"
 #include "mem/nt_store.h"
@@ -26,11 +28,16 @@ GlobalRadixPartitioner::GlobalRadixPartitioner(numa::NumaSystem* system,
 void GlobalRadixPartitioner::BuildHistogram(int tid) {
   const thread::Range range =
       thread::ChunkRange(input_.size(), options_.num_threads, tid);
-  uint64_t* hist = &hist_[static_cast<std::size_t>(tid) * num_partitions_];
+  // Count into a thread-private array: hist_ packs every thread's counters
+  // into a few cache lines when P is small, and bumping them in place
+  // false-shares those lines between threads.
+  std::vector<uint64_t> hist(num_partitions_);
   const RadixFn fn = options_.fn;
   for (std::size_t i = range.begin; i < range.end; ++i) {
     ++hist[fn(input_[i].key)];
   }
+  std::copy(hist.begin(), hist.end(),
+            hist_.begin() + static_cast<std::ptrdiff_t>(tid) * num_partitions_);
 }
 
 void GlobalRadixPartitioner::ComputeOffsets() {
@@ -63,15 +70,17 @@ void GlobalRadixPartitioner::Scatter(int tid, int thread_node) {
 
   if (!options_.use_swwcb) {
     // PRB-style direct scatter: every tuple is a random write into one of P
-    // pages.
+    // pages. Thread-private cursors, like the histogram above.
+    std::vector<uint64_t> cursor(dst, dst + num_partitions_);
     for (std::size_t i = range.begin; i < range.end; ++i) {
       const Tuple t = input_[i];
-      const uint64_t pos = dst[fn(t.key)]++;
+      const uint64_t pos = cursor[fn(t.key)]++;
       out[pos] = t;
       if (MMJOIN_UNLIKELY(accounting)) {
         system_->CountWrite(thread_node, out + pos, sizeof(Tuple));
       }
     }
+    std::copy(cursor.begin(), cursor.end(), dst);
     return;
   }
 

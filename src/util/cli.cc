@@ -7,7 +7,7 @@
 
 namespace mmjoin {
 
-CommandLine::CommandLine(int argc, char** argv, bool lenient) {
+CommandLine::CommandLine(int argc, char** argv) {
   program_name_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -29,8 +29,6 @@ CommandLine::CommandLine(int argc, char** argv, bool lenient) {
       flags_.push_back(Flag{body, ""});
     }
   }
-  (void)lenient;  // All lookups are by-name; unknown flags only matter if a
-                  // binary chooses to enumerate them, which none do today.
 }
 
 const CommandLine::Flag* CommandLine::Find(const std::string& name) const {

@@ -17,9 +17,9 @@ namespace mmjoin {
 
 class CommandLine {
  public:
-  // Parses argv. Unknown flags are fatal (typos in experiment scripts should
-  // not silently fall back to defaults), except when `lenient` is set.
-  CommandLine(int argc, char** argv, bool lenient = false);
+  // Parses argv into `--name=value` / `--name value` / bare `--name` flags
+  // and positional arguments. All lookups are by name.
+  CommandLine(int argc, char** argv);
 
   // Typed accessors; `def` is returned when the flag was not supplied.
   int64_t GetInt(const std::string& name, int64_t def) const;

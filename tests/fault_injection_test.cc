@@ -22,6 +22,7 @@
 #include "core/joiner.h"
 #include "join/join_algorithm.h"
 #include "join/materialize.h"
+#include "join/reference.h"
 #include "mem/aligned_alloc.h"
 #include "mem/budget.h"
 #include "thread/executor.h"
@@ -192,6 +193,54 @@ TEST_F(JoinFaultTest, EveryAlgorithmFailsCleanlyInEveryPhase) {
           << ": " << recovered.status().ToString();
       EXPECT_EQ(recovered.value().matches, probe_.size())
           << join::NameOf(algorithm);
+    }
+  }
+}
+
+// The same faults inside the spill-wave path (budget.wave=always forces it,
+// no budget needed): every barrier round of the wave loop must unwind a
+// failure cleanly -- a ResourceExhausted naming the phase, no leaked NUMA
+// regions -- and the next (still spill-wave) run on the same joiner must be
+// bit-identical to the reference.
+TEST_F(JoinFaultTest, EveryPartitionJoinFailsCleanlyInSpillWaves) {
+  const join::JoinResult reference =
+      join::ReferenceJoin(build_.cspan(), probe_.cspan());
+  for (const char* phase : {"partition", "build", "probe"}) {
+    const std::string spec =
+        std::string("budget.wave=always,alloc.") + phase + "=once";
+    for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+      if (join::InfoOf(algorithm).join_class !=
+          join::JoinClass::kPartitionBased) {
+        continue;
+      }
+      const std::size_t live_before = joiner_.system()->num_live_regions();
+      mem::ResetBudgetStats();
+      ASSERT_TRUE(failpoint::Configure(spec).ok());
+
+      const auto failed = joiner_.Run(algorithm, build_, probe_);
+      EXPECT_GE(mem::GetBudgetStats().waves, 1u)
+          << join::NameOf(algorithm) << " skipped the wave path";
+      ASSERT_FALSE(failed.ok())
+          << join::NameOf(algorithm) << " ignored " << spec;
+      EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
+          << join::NameOf(algorithm) << " " << spec;
+      EXPECT_NE(failed.status().message().find(phase), std::string::npos)
+          << join::NameOf(algorithm) << ": '" << failed.status().message()
+          << "' does not name the " << phase << " phase";
+      EXPECT_EQ(joiner_.system()->num_live_regions(), live_before)
+          << join::NameOf(algorithm) << " leaked a region after " << spec;
+
+      // alloc.<phase> disarmed itself; budget.wave still forces waves.
+      const auto recovered = joiner_.Run(algorithm, build_, probe_);
+      failpoint::DeactivateAll();
+      ASSERT_TRUE(recovered.ok())
+          << join::NameOf(algorithm) << " did not recover after " << spec
+          << ": " << recovered.status().ToString();
+      EXPECT_EQ(recovered.value().matches, reference.matches)
+          << join::NameOf(algorithm) << " " << spec;
+      EXPECT_EQ(recovered.value().checksum, reference.checksum)
+          << join::NameOf(algorithm) << " " << spec;
+      EXPECT_GE(mem::GetBudgetStats().waves, 2u) << join::NameOf(algorithm);
     }
   }
 }

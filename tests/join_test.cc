@@ -12,8 +12,13 @@
 #include <vector>
 
 #include "join/join_algorithm.h"
+#include "join/radix_plan.h"
 #include "join/reference.h"
+#include "mem/budget.h"
 #include "numa/system.h"
+#include "obs/metrics.h"
+#include "partition/model.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -281,6 +286,239 @@ TEST(Throughput, UsesInputBasedDefinition) {
   result.times.total_ns = 1'000'000'000;  // 1 s
   result.matches = 1;                     // output-insensitive
   EXPECT_DOUBLE_EQ(result.ThroughputMtps(600'000'000, 400'000'000), 1000.0);
+}
+
+// --- Radix-join plans --------------------------------------------------------
+//
+// PlanRadixJoin pinned for all nine partition-based joins under the paper's
+// CacheSpec, 4 threads, dense keys and |S| = 4|R|. The expected values were
+// recorded from the per-family PR/CPR kernels the planner replaced, so any
+// drift here changes the partitioning of an existing algorithm.
+
+using internal::PlanRadixJoin;
+using internal::RadixJoinPlan;
+using internal::RadixTable;
+using internal::TaskOrder;
+
+RadixJoinPlan PlanFor(Algorithm algorithm, uint64_t build_tuples,
+                      const JoinConfig& config) {
+  return PlanRadixJoin(algorithm, config, build_tuples, 4 * build_tuples,
+                       build_tuples, partition::CacheSpec{});
+}
+
+uint32_t PassesOf(const RadixJoinPlan& plan) { return plan.two_pass() ? 2 : 1; }
+
+// The budget PRB reserves (and a run measures as its peak) at `bits`.
+uint64_t PrbPeak(uint64_t build_tuples, uint32_t bits) {
+  mem::BudgetTracker ample(uint64_t{1} << 40);
+  JoinConfig config;
+  config.radix_bits = bits;
+  config.budget = &ample;
+  return PlanFor(Algorithm::kPRB, build_tuples, config).planned_bytes;
+}
+
+TEST(RadixPlan, ShapeFollowsTheAlgorithm) {
+  using A = Algorithm;
+  struct Shape {
+    Algorithm algorithm;
+    bool chunked;
+    RadixTable table;
+    TaskOrder order;
+    bool swwcb;
+  };
+  const Shape shapes[] = {
+      {A::kPRB, false, RadixTable::kChained, TaskOrder::kSequential, false},
+      {A::kPRO, false, RadixTable::kChained, TaskOrder::kSequential, true},
+      {A::kPRL, false, RadixTable::kLinear, TaskOrder::kSequential, true},
+      {A::kPRA, false, RadixTable::kArray, TaskOrder::kSequential, true},
+      {A::kPROiS, false, RadixTable::kChained, TaskOrder::kRoundRobinByNode,
+       true},
+      {A::kPRLiS, false, RadixTable::kLinear, TaskOrder::kRoundRobinByNode,
+       true},
+      {A::kPRAiS, false, RadixTable::kArray, TaskOrder::kRoundRobinByNode,
+       true},
+      {A::kCPRL, true, RadixTable::kLinear, TaskOrder::kChunkBlocks, true},
+      {A::kCPRA, true, RadixTable::kArray, TaskOrder::kChunkBlocks, true},
+  };
+  for (const Shape& shape : shapes) {
+    const RadixJoinPlan plan = PlanFor(shape.algorithm, 50000, JoinConfig{});
+    EXPECT_EQ(plan.chunked(), shape.chunked) << NameOf(shape.algorithm);
+    EXPECT_EQ(plan.table, shape.table) << NameOf(shape.algorithm);
+    EXPECT_EQ(plan.order, shape.order) << NameOf(shape.algorithm);
+    EXPECT_EQ(plan.use_swwcb, shape.swwcb) << NameOf(shape.algorithm);
+  }
+}
+
+TEST(RadixPlan, BitsAndPassesMatchTheHistoricalKernels) {
+  using A = Algorithm;
+  struct BitsPasses {
+    uint32_t bits;
+    uint32_t passes;
+  };
+  // Per geometry: the default plan, num_passes = 1, num_passes = 2,
+  // radix_bits = 10, and a budget just under PRB's peak at predicted bits
+  // (PRB escalates a bit and keeps two passes; the others already fit).
+  struct Row {
+    Algorithm algorithm;
+    uint64_t build_tuples;
+    BitsPasses by_default, one_pass, two_pass, pinned, tight;
+  };
+  const Row rows[] = {
+      {A::kPRB, 8192, {1, 2}, {1, 1}, {1, 2}, {10, 2}, {2, 2}},
+      {A::kPRO, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kPRL, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kPRA, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kCPRL, 8192, {1, 1}, {1, 1}, {1, 1}, {10, 1}, {1, 1}},
+      {A::kCPRA, 8192, {1, 1}, {1, 1}, {1, 1}, {10, 1}, {1, 1}},
+      {A::kPROiS, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kPRLiS, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kPRAiS, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kPRB, 50000, {2, 2}, {2, 1}, {2, 2}, {10, 2}, {3, 2}},
+      {A::kPRO, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
+      {A::kPRL, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
+      {A::kPRA, 50000, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kCPRL, 50000, {2, 1}, {2, 1}, {2, 1}, {10, 1}, {2, 1}},
+      {A::kCPRA, 50000, {1, 1}, {1, 1}, {1, 1}, {10, 1}, {1, 1}},
+      {A::kPROiS, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
+      {A::kPRLiS, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
+      {A::kPRAiS, 50000, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
+      {A::kPRB, 200000, {4, 2}, {4, 1}, {4, 2}, {10, 2}, {5, 2}},
+      {A::kPRO, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+      {A::kPRL, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+      {A::kPRA, 200000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
+      {A::kCPRL, 200000, {4, 1}, {4, 1}, {4, 1}, {10, 1}, {4, 1}},
+      {A::kCPRA, 200000, {2, 1}, {2, 1}, {2, 1}, {10, 1}, {2, 1}},
+      {A::kPROiS, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+      {A::kPRLiS, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+      {A::kPRAiS, 200000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
+      {A::kPRB, 1000000, {6, 2}, {6, 1}, {6, 2}, {10, 2}, {7, 2}},
+      {A::kPRO, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
+      {A::kPRL, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
+      {A::kPRA, 1000000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+      {A::kCPRL, 1000000, {6, 1}, {6, 1}, {6, 1}, {10, 1}, {6, 1}},
+      {A::kCPRA, 1000000, {4, 1}, {4, 1}, {4, 1}, {10, 1}, {4, 1}},
+      {A::kPROiS, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
+      {A::kPRLiS, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
+      {A::kPRAiS, 1000000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+  };
+  for (const Row& row : rows) {
+    const std::string what = std::string(NameOf(row.algorithm)) + " |R|=" +
+                             std::to_string(row.build_tuples);
+    JoinConfig one_pass;
+    one_pass.num_passes = 1;
+    JoinConfig two_pass;
+    two_pass.num_passes = 2;
+    JoinConfig pinned;
+    pinned.radix_bits = 10;
+    mem::BudgetTracker tracker(PrbPeak(row.build_tuples, 0) - 1);
+    JoinConfig tight;
+    tight.budget = &tracker;
+    const std::pair<JoinConfig, BitsPasses> cases[] = {
+        {JoinConfig{}, row.by_default}, {one_pass, row.one_pass},
+        {two_pass, row.two_pass},       {pinned, row.pinned},
+        {tight, row.tight}};
+    for (const auto& [config, expected] : cases) {
+      const RadixJoinPlan plan =
+          PlanFor(row.algorithm, row.build_tuples, config);
+      EXPECT_EQ(plan.radix_bits, expected.bits) << what;
+      EXPECT_EQ(PassesOf(plan), expected.passes) << what;
+      EXPECT_EQ(plan.wave_count, 1u) << what;
+      EXPECT_TRUE(plan.feasible) << what;
+    }
+  }
+}
+
+// With the bits pinned PRB cannot escalate, so a budget one byte under its
+// peak must drop pass 2; a third of it additionally needs two spill waves.
+// Every other join runs one pass anyway and plans the same.
+TEST(RadixPlan, TightBudgetDropsPassTwoThenSplitsWaves) {
+  for (const uint64_t build_tuples : {8192u, 50000u, 200000u, 1000000u}) {
+    const uint64_t peak = PrbPeak(build_tuples, 10);
+    for (const Algorithm algorithm : AllAlgorithms()) {
+      if (InfoOf(algorithm).join_class != JoinClass::kPartitionBased) continue;
+      const std::string what = std::string(NameOf(algorithm)) + " |R|=" +
+                               std::to_string(build_tuples);
+      mem::BudgetTracker just_under(peak - 1);
+      mem::BudgetTracker third(peak / 3);
+      JoinConfig config;
+      config.radix_bits = 10;
+      config.budget = &just_under;
+      RadixJoinPlan plan = PlanFor(algorithm, build_tuples, config);
+      EXPECT_EQ(plan.radix_bits, 10u) << what;
+      EXPECT_EQ(PassesOf(plan), 1u) << what;
+      EXPECT_EQ(plan.wave_count, 1u) << what;
+      EXPECT_EQ(plan.budget_dropped_pass2, algorithm == Algorithm::kPRB)
+          << what;
+      EXPECT_LE(plan.planned_bytes, peak - 1) << what;
+
+      config.budget = &third;
+      plan = PlanFor(algorithm, build_tuples, config);
+      EXPECT_EQ(plan.radix_bits, 10u) << what;
+      EXPECT_EQ(PassesOf(plan), 1u) << what;
+      EXPECT_EQ(plan.wave_count, 2u) << what;
+    }
+  }
+}
+
+// The budget PrbPeak plans is what a PRB run reserves and measures.
+TEST(RadixPlan, PlannedBytesAreTheMeasuredPeak) {
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), 8192, 5).value();
+  workload::Relation probe =
+      workload::MakeUniformProbe(System(), 4 * 8192, 8192, 6).value();
+  mem::BudgetTracker measure(uint64_t{1} << 40);
+  JoinConfig config;
+  config.radix_bits = 10;
+  config.budget = &measure;
+  ASSERT_TRUE(RunJoin(Algorithm::kPRB, System(), config, build, probe).ok());
+  EXPECT_EQ(measure.peak_reserved_bytes(), PrbPeak(8192, 10));
+}
+
+TEST(RadixPlan, WaveFailpointForcesOnePassWaves) {
+  for (const Algorithm algorithm : AllAlgorithms()) {
+    if (InfoOf(algorithm).join_class != JoinClass::kPartitionBased) continue;
+    ASSERT_TRUE(failpoint::Configure("budget.wave=once").ok());
+    const RadixJoinPlan plan = PlanFor(algorithm, 50000, JoinConfig{});
+    failpoint::DeactivateAll();
+    EXPECT_EQ(plan.wave_count, 2u) << NameOf(algorithm);
+    EXPECT_EQ(PassesOf(plan), 1u) << NameOf(algorithm);
+    EXPECT_EQ(plan.wave_dropped_pass2, algorithm == Algorithm::kPRB)
+        << NameOf(algorithm);
+  }
+}
+
+uint64_t CounterValue(const std::string& name) {
+  for (const obs::Metric& metric : obs::MetricsRegistry::Get().Snapshot()) {
+    if (metric.name == name) return metric.value;
+  }
+  return 0;
+}
+
+// Task seeding of one skewed run per algorithm (Zipf theta = 1.25, 64
+// partitions), pinned to the historical kernels' counter deltas.
+TEST(RadixPlan, SkewedRunSeedsThePinnedTasks) {
+  const uint64_t build_size = 1 << 15;
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), build_size, 11).value();
+  workload::Relation probe = workload::MakeZipfProbe(
+      System(), 1 << 17, build_size, /*theta=*/1.25, 12).value();
+  JoinConfig config;
+  config.num_threads = 4;
+  config.radix_bits = 6;
+  config.skew_task_factor = 4;
+  for (const Algorithm algorithm : AllAlgorithms()) {
+    if (InfoOf(algorithm).join_class != JoinClass::kPartitionBased) continue;
+    const uint64_t seeded = CounterValue("join.tasks_seeded");
+    const uint64_t slices = CounterValue("join.skew_slices");
+    const uint64_t split = CounterValue("join.skew_partitions");
+    ExpectMatchesReference(algorithm, build, probe, config, "zipf 1.25");
+    EXPECT_EQ(CounterValue("join.tasks_seeded") - seeded, 70u)
+        << NameOf(algorithm);
+    EXPECT_EQ(CounterValue("join.skew_slices") - slices, 6u)
+        << NameOf(algorithm);
+    EXPECT_EQ(CounterValue("join.skew_partitions") - split, 3u)
+        << NameOf(algorithm);
+  }
 }
 
 }  // namespace
