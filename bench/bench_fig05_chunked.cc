@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
 
     // Separate instrumented run for the traffic profile.
     system.EnableAccounting();
-    join::RunJoinOrDie(algorithm, &system, config, build, probe);
+    MMJOIN_CHECK_OK(join::RunJoin(algorithm, &system, config, build, probe));
     const double remote_mb =
         system.counters()->TotalRemoteWriteBytes() / 1e6;
     const double local_mb =

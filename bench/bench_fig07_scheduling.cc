@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     const join::JoinResult timed = bench::RunMedian(
         algorithm, &system, config, build, probe, env.repeat);
     system.EnableAccounting();
-    join::RunJoinOrDie(algorithm, &system, config, build, probe);
+    MMJOIN_CHECK_OK(join::RunJoin(algorithm, &system, config, build, probe));
     const double remote_read =
         system.counters()->TotalRemoteReadBytes() / 1e6;
     const double remote_write =

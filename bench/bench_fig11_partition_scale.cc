@@ -10,7 +10,7 @@
 #include "bench_common.h"
 #include "partition/chunked.h"
 #include "partition/radix.h"
-#include "thread/thread_team.h"
+#include "thread/executor.h"
 #include "util/bits.h"
 #include "util/timer.h"
 
@@ -30,16 +30,17 @@ double GlobalPartitionNsPerTuple(numa::NumaSystem* system,
   partition::GlobalRadixPartitioner partitioner(
       system, options, input.cspan(),
       TupleSpan(output.data(), output.size()));
-  thread::Barrier barrier(threads);
   Stopwatch watch;
-  thread::RunTeam(threads, [&](int tid) {
-    partitioner.BuildHistogram(tid);
-    barrier.ArriveAndWait();
-    if (tid == 0) partitioner.ComputeOffsets();
-    barrier.ArriveAndWait();
-    partitioner.Scatter(tid,
-                        system->topology().NodeOfThread(tid, threads));
-  });
+  MMJOIN_CHECK_OK(thread::GlobalExecutor().Dispatch(
+      threads, [&](const thread::WorkerContext& ctx) {
+        partitioner.BuildHistogram(ctx.thread_id);
+        ctx.barrier->ArriveAndWait();
+        if (ctx.thread_id == 0) partitioner.ComputeOffsets();
+        ctx.barrier->ArriveAndWait();
+        partitioner.Scatter(
+            ctx.thread_id,
+            system->topology().NodeOfThread(ctx.thread_id, threads));
+      }));
   return static_cast<double>(watch.ElapsedNanos()) / input.size();
 }
 
@@ -56,10 +57,12 @@ double ChunkedPartitionNsPerTuple(numa::NumaSystem* system,
       system, options, input.cspan(),
       TupleSpan(output.data(), output.size()));
   Stopwatch watch;
-  thread::RunTeam(threads, [&](int tid) {
-    partitioner.PartitionChunk(
-        tid, system->topology().NodeOfThread(tid, threads));
-  });
+  MMJOIN_CHECK_OK(thread::GlobalExecutor().Dispatch(
+      threads, [&](const thread::WorkerContext& ctx) {
+        partitioner.PartitionChunk(
+            ctx.thread_id,
+            system->topology().NodeOfThread(ctx.thread_id, threads));
+      }));
   return static_cast<double>(watch.ElapsedNanos()) / input.size();
 }
 

@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
           algorithm, &system, config, build, probe, env.repeat);
 
       system.EnableAccounting();
-      join::RunJoinOrDie(algorithm, &system, config, build, probe);
+      MMJOIN_CHECK_OK(
+          join::RunJoin(algorithm, &system, config, build, probe));
       const double modeled = system.counters()->ModeledCostMillis();
       system.DisableAccounting();
 

@@ -9,7 +9,8 @@
 #include "numa/system.h"
 #include "partition/chunked.h"
 #include "partition/radix.h"
-#include "thread/thread_team.h"
+#include "thread/executor.h"
+#include "util/status.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -87,10 +88,12 @@ void BM_ChunkedPartition(benchmark::State& state) {
     partition::ChunkedRadixPartitioner partitioner(
         system, options, input.cspan(),
         TupleSpan(output.data(), output.size()));
-    thread::RunTeam(threads, [&](int tid) {
-      partitioner.PartitionChunk(
-          tid, system->topology().NodeOfThread(tid, threads));
-    });
+    MMJOIN_CHECK_OK(thread::GlobalExecutor().Dispatch(
+        threads, [&](const thread::WorkerContext& ctx) {
+          partitioner.PartitionChunk(
+              ctx.thread_id,
+              system->topology().NodeOfThread(ctx.thread_id, threads));
+        }));
     benchmark::DoNotOptimize(output.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

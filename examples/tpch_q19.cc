@@ -37,8 +37,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(lineitem.num_tuples()),
               static_cast<unsigned long long>(part.num_tuples()));
 
-  const tpch::Q19Result result =
-      tpch::RunQ19(&system, lineitem, part, *algorithm, threads);
+  const StatusOr<tpch::Q19Result> run =
+      tpch::TryRunQ19(&system, lineitem, part, *algorithm, threads);
+  if (!run.ok()) {
+    std::fprintf(stderr, "Q19 failed: %s\n", run.status().ToString().c_str());
+    return 2;
+  }
+  const tpch::Q19Result& result = *run;
 
   std::printf("\nQ19 with %s on %d threads:\n", join::NameOf(*algorithm),
               threads);

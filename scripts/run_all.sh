@@ -131,37 +131,3 @@ if ! python3 scripts/check_metrics.py --kind=bench BENCH_service.json; then
   echo "FAILED: join service sweep wrote an invalid BENCH_service.json" >&2
   exit 1
 fi) 2>&1 | tee -a bench_output.txt
-
-# Manifest describing this sweep: which BENCH_*.json files exist and under
-# what machine/build they were produced. Two manifests (e.g. baseline vs
-# branch) feed scripts/check_regression.py, which diffs the common figures
-# and flags throughput regressions beyond a noise threshold.
-python3 - << 'EOF'
-import json
-import os
-import platform
-import subprocess
-import time
-
-sha = "unknown"
-try:
-    sha = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                         text=True, check=True).stdout.strip()
-except (OSError, subprocess.CalledProcessError):
-    pass
-manifest = {
-    "schema": "mmjoin.manifest.v1",
-    "git_sha": sha,
-    "hostname": platform.node(),
-    "threads": os.cpu_count(),
-    "generated_unix": int(time.time()),
-    "files": sorted(f for f in os.listdir(".")
-                    if f.startswith("BENCH_") and f.endswith(".json")
-                    and f != "BENCH_manifest.json"),
-}
-with open("BENCH_manifest.json", "w") as out:
-    json.dump(manifest, out, indent=2)
-    out.write("\n")
-print(f"BENCH_manifest.json: {len(manifest['files'])} result file(s) "
-      f"@ {sha[:12]}")
-EOF

@@ -54,7 +54,7 @@ class Joiner {
   numa::NumaSystem* system() { return &system_; }
 
   // The persistent worker pool every join (and any caller-side parallel
-  // work, e.g. tpch::RunQ19) runs on. Its stats expose pool reuse:
+  // work, e.g. tpch::TryRunQ19) runs on. Its stats expose pool reuse:
   // stats().threads_spawned stays == num_threads() across any number of
   // joins.
   thread::Executor* executor() { return executor_.get(); }

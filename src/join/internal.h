@@ -207,7 +207,8 @@ inline Status BudgetInfeasibleError(const char* algorithm, uint64_t needed,
       ")");
 }
 
-// NumaBuffer::TryCreate with a phase-tagged error message.
+// NumaBuffer::TryCreate with the allocator's status tagged by phase: the
+// code and message pass through, prefixed with `what`.
 template <typename T>
 StatusOr<numa::NumaBuffer<T>> TryBuffer(numa::NumaSystem* system,
                                         std::size_t count,
@@ -216,8 +217,8 @@ StatusOr<numa::NumaBuffer<T>> TryBuffer(numa::NumaSystem* system,
   auto buffer =
       numa::NumaBuffer<T>::TryCreate(system, count, placement, home_node);
   if (!buffer.ok()) {
-    return ResourceExhaustedError(std::string(what) + ": " +
-                                  buffer.status().message());
+    return Status(buffer.status().code(),
+                  std::string(what) + ": " + buffer.status().message());
   }
   return buffer;
 }

@@ -47,13 +47,6 @@ StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
                              const workload::Relation& build,
                              const workload::Relation& probe);
 
-// For benches and examples that have no recovery path: prints the status to
-// stderr and aborts on failure.
-JoinResult RunJoinOrDie(Algorithm algorithm, numa::NumaSystem* system,
-                        const JoinConfig& config,
-                        const workload::Relation& build,
-                        const workload::Relation& probe);
-
 }  // namespace mmjoin::join
 
 #endif  // MMJOIN_JOIN_JOIN_ALGORITHM_H_

@@ -1,5 +1,3 @@
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -8,7 +6,6 @@
 #include "mem/budget.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
-#include "util/log.h"
 #include "util/macros.h"
 #include "util/status.h"
 
@@ -143,21 +140,6 @@ StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
     latency->Record(static_cast<uint64_t>(result->times.total_ns));
   }
   return result;
-}
-
-JoinResult RunJoinOrDie(Algorithm algorithm, numa::NumaSystem* system,
-                        const JoinConfig& config,
-                        const workload::Relation& build,
-                        const workload::Relation& probe) {
-  StatusOr<JoinResult> result =
-      RunJoin(algorithm, system, config, build, probe);
-  if (!result.ok()) {
-    MMJOIN_LOG(kError, "join.failed")
-        .Field("algorithm", NameOf(algorithm))
-        .Field("status", result.status().ToString());
-    std::abort();
-  }
-  return *std::move(result);
 }
 
 }  // namespace mmjoin::join

@@ -220,12 +220,6 @@ StatusOr<void*> TryAllocateAligned(std::size_t bytes, std::size_t alignment,
   return ptr;
 }
 
-void* AllocateAligned(std::size_t bytes, std::size_t alignment,
-                      PagePolicy policy) {
-  StatusOr<void*> result = TryAllocateAligned(bytes, alignment, policy);
-  return result.ok() ? *result : nullptr;
-}
-
 void FreeAligned(void* ptr, std::size_t bytes) {
   if (ptr == nullptr) return;
   SubResident(bytes);

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "util/status.h"
 
@@ -71,11 +70,7 @@ void CountNumaDegradation();
 StatusOr<void*> TryAllocateAligned(std::size_t bytes, std::size_t alignment,
                                    PagePolicy policy);
 
-// Legacy wrapper: returns nullptr where TryAllocateAligned reports an error.
-void* AllocateAligned(std::size_t bytes, std::size_t alignment,
-                      PagePolicy policy);
-
-// Frees memory obtained from AllocateAligned. `bytes` must match the
+// Frees memory obtained from TryAllocateAligned. `bytes` must match the
 // original request.
 void FreeAligned(void* ptr, std::size_t bytes);
 
@@ -84,55 +79,6 @@ void FreeAligned(void* ptr, std::size_t bytes);
 // assumption (Section 5.1): a DBMS buffer manager would have faulted the
 // pages in already.
 void PrefaultPages(void* ptr, std::size_t bytes);
-
-// RAII owner for a typed aligned buffer.
-template <typename T>
-class AlignedBuffer {
- public:
-  AlignedBuffer() = default;
-  AlignedBuffer(std::size_t count, PagePolicy policy,
-                std::size_t alignment = 64)
-      : size_(count),
-        bytes_(count * sizeof(T)),
-        data_(static_cast<T*>(AllocateAligned(bytes_, alignment, policy))) {}
-
-  ~AlignedBuffer() { reset(); }
-
-  AlignedBuffer(AlignedBuffer&& other) noexcept { *this = std::move(other); }
-  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
-    if (this != &other) {
-      reset();
-      data_ = other.data_;
-      size_ = other.size_;
-      bytes_ = other.bytes_;
-      other.data_ = nullptr;
-      other.size_ = 0;
-      other.bytes_ = 0;
-    }
-    return *this;
-  }
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-
-  void reset() {
-    if (data_ != nullptr) FreeAligned(data_, bytes_);
-    data_ = nullptr;
-    size_ = 0;
-    bytes_ = 0;
-  }
-
-  T* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  T& operator[](std::size_t i) const { return data_[i]; }
-  T* begin() const { return data_; }
-  T* end() const { return data_ + size_; }
-
- private:
-  std::size_t size_ = 0;
-  std::size_t bytes_ = 0;
-  T* data_ = nullptr;
-};
 
 }  // namespace mmjoin::mem
 

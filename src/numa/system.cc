@@ -58,13 +58,13 @@ NumaSystem::~NumaSystem() {
 void* NumaSystem::Allocate(std::size_t bytes, Placement placement,
                            int home_node, std::size_t alignment) {
   MMJOIN_CHECK(home_node >= 0 && home_node < topology_.num_nodes());
-  void* ptr = TryAllocate(bytes, placement, home_node, alignment);
-  MMJOIN_CHECK(ptr != nullptr);
-  return ptr;
+  // value() aborts with the allocator's status printed on failure.
+  return TryAllocate(bytes, placement, home_node, alignment).value();
 }
 
-void* NumaSystem::TryAllocate(std::size_t bytes, Placement placement,
-                              int home_node, std::size_t alignment) {
+StatusOr<void*> NumaSystem::TryAllocate(std::size_t bytes,
+                                        Placement placement, int home_node,
+                                        std::size_t alignment) {
   if (home_node < 0 || home_node >= topology_.num_nodes()) {
     // Placement is advisory: degrade to node 0 instead of aborting.
     mem::CountNumaDegradation();
@@ -73,8 +73,8 @@ void* NumaSystem::TryAllocate(std::size_t bytes, Placement placement,
         .Field("nodes", topology_.num_nodes());
     home_node = 0;
   }
-  void* ptr = mem::AllocateAligned(bytes, alignment, page_policy_);
-  if (ptr == nullptr) return nullptr;
+  MMJOIN_ASSIGN_OR_RETURN(
+      void* ptr, mem::TryAllocateAligned(bytes, alignment, page_policy_));
   mem::PrefaultPages(ptr, bytes);
 
   Region region{reinterpret_cast<std::uintptr_t>(ptr), bytes, placement,

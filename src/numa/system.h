@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mem/aligned_alloc.h"
@@ -56,16 +55,19 @@ class NumaSystem {
 
   // Allocates `bytes` with the given placement, registers the region, and
   // prefaults the pages (buffer-manager assumption, paper Section 5.1).
-  // Aborts on allocation failure (legacy contract; prefer TryAllocate).
+  // Aborts on allocation failure (for harness-owned inputs and tables;
+  // prefer TryAllocate).
   void* Allocate(std::size_t bytes, Placement placement, int home_node = 0,
                  std::size_t alignment = kCacheLineSize);
 
-  // Like Allocate but recoverable: returns nullptr when the underlying
-  // allocation fails (real or fault-injected). An out-of-range `home_node`
-  // degrades to node 0 (counted as a NUMA degradation in mem::AllocStats)
-  // rather than aborting -- placement is a hint, not a correctness property.
-  void* TryAllocate(std::size_t bytes, Placement placement, int home_node = 0,
-                    std::size_t alignment = kCacheLineSize);
+  // Like Allocate but recoverable: returns mem::TryAllocateAligned's status
+  // unchanged when the underlying allocation fails (real or fault-injected).
+  // An out-of-range `home_node` degrades to node 0 (counted as a NUMA
+  // degradation in mem::AllocStats) rather than aborting -- placement is a
+  // hint, not a correctness property.
+  StatusOr<void*> TryAllocate(std::size_t bytes, Placement placement,
+                              int home_node = 0,
+                              std::size_t alignment = kCacheLineSize);
 
   void Free(void* ptr);
 
@@ -179,20 +181,16 @@ class NumaBuffer {
             count * sizeof(T) > 0 ? count * sizeof(T) : sizeof(T), placement,
             home_node))) {}
 
-  // Recoverable construction: ResourceExhausted instead of abort when the
-  // allocation fails. The join kernels allocate all phase buffers through
-  // this so partition/build failures propagate out of Joiner::Run.
+  // Recoverable construction: the allocator's Status instead of abort when
+  // the allocation fails. The join kernels allocate all phase buffers
+  // through this so partition/build failures propagate out of Joiner::Run.
   static StatusOr<NumaBuffer> TryCreate(NumaSystem* system, std::size_t count,
                                         Placement placement,
                                         int home_node = 0) {
     const std::size_t bytes =
         count * sizeof(T) > 0 ? count * sizeof(T) : sizeof(T);
-    void* ptr = system->TryAllocate(bytes, placement, home_node);
-    if (ptr == nullptr) {
-      return ResourceExhaustedError(
-          "NumaBuffer allocation of " + std::to_string(bytes) +
-          " bytes failed");
-    }
+    MMJOIN_ASSIGN_OR_RETURN(void* ptr,
+                            system->TryAllocate(bytes, placement, home_node));
     NumaBuffer buffer;
     buffer.system_ = system;
     buffer.size_ = count;

@@ -1,6 +1,7 @@
 #include "partition/chunked.h"
 
-#include "mem/aligned_alloc.h"
+#include <vector>
+
 #include "mem/nt_store.h"
 #include "thread/thread_team.h"
 
@@ -62,8 +63,7 @@ void ChunkedRadixPartitioner::PartitionChunk(int tid, int thread_node) {
     return;
   }
 
-  mem::AlignedBuffer<CacheLineBuffer> buffers(num_partitions,
-                                              mem::PagePolicy::kDefault);
+  std::vector<CacheLineBuffer> buffers(num_partitions);
   std::vector<ScatterCursor> cursors(num_partitions);
   for (uint32_t p = 0; p < num_partitions; ++p) {
     cursors[p] = ScatterCursor{offsets[p], offsets[p]};

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "mem/aligned_alloc.h"
 #include "mem/nt_store.h"
 #include "thread/thread_team.h"
 
@@ -85,8 +84,7 @@ void GlobalRadixPartitioner::Scatter(int tid, int thread_node) {
   }
 
   // SWWCB scatter.
-  mem::AlignedBuffer<CacheLineBuffer> buffers(num_partitions_,
-                                              mem::PagePolicy::kDefault);
+  std::vector<CacheLineBuffer> buffers(num_partitions_);
   std::vector<ScatterCursor> cursors(num_partitions_);
   for (uint32_t p = 0; p < num_partitions_; ++p) {
     cursors[p] = ScatterCursor{dst[p], dst[p]};

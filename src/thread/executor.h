@@ -183,8 +183,8 @@ class Executor {
   std::atomic<uint64_t> idle_ns_{0};
 };
 
-// The process-wide pool behind the RunTeam compatibility shim and every
-// caller that does not own an Executor (benches, the TPC-H generator). Lazily
+// The process-wide pool behind every caller that does not own an Executor
+// (benches, tests, the TPC-H generator). Lazily
 // created on first use, grows to the largest team ever requested, and lives
 // until process exit.
 Executor& GlobalExecutor();

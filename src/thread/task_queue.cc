@@ -174,15 +174,4 @@ std::vector<uint32_t> RoundRobinNodeOrder(uint32_t num_partitions,
   return order;
 }
 
-std::vector<JoinTask> TasksFromOrder(
-    const std::vector<uint32_t>& consume_order) {
-  // The queue is a stack, so seed it in reverse consumption order.
-  std::vector<JoinTask> tasks;
-  tasks.reserve(consume_order.size());
-  for (auto it = consume_order.rbegin(); it != consume_order.rend(); ++it) {
-    tasks.push_back(JoinTask{*it});
-  }
-  return tasks;
-}
-
 }  // namespace mmjoin::thread

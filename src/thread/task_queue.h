@@ -9,11 +9,9 @@
 // round-robin across NUMA nodes so all memory controllers are busy at once.
 // Skew handling pushes extra sub-tasks onto the queue at runtime.
 //
-// Two queue types live here:
-//   TaskQueue         the paper-literal single global LIFO stack (kept for
-//                     the scheduling ablation bench and micro-tests)
-//   ShardedTaskQueue  per-NUMA-node deques with distance-ordered FIFO
-//                     stealing -- what the join phase actually runs on
+// The queue here, ShardedTaskQueue, keeps one deque per NUMA node with
+// distance-ordered FIFO stealing; with a single active shard it pops in the
+// paper's single-stack LIFO order.
 
 #ifndef MMJOIN_THREAD_TASK_QUEUE_H_
 #define MMJOIN_THREAD_TASK_QUEUE_H_
@@ -44,49 +42,14 @@ struct JoinTask {
   uint32_t probe_slice_count = 1;
 };
 
-// Thread-safe LIFO task stack (matches the paper: "a LIFO-task queue (which
-// is actually a stack)").
-class TaskQueue {
- public:
-  TaskQueue() = default;
-  explicit TaskQueue(std::vector<JoinTask> initial)
-      : tasks_(std::move(initial)) {}
-
-  TaskQueue(const TaskQueue&) = delete;
-  TaskQueue& operator=(const TaskQueue&) = delete;
-
-  void Push(JoinTask task) {
-    MutexLock lock(mutex_);
-    tasks_.push_back(task);
-  }
-
-  // Pops the most recently pushed task; returns false when empty.
-  bool Pop(JoinTask* task) {
-    MutexLock lock(mutex_);
-    if (tasks_.empty()) return false;
-    *task = tasks_.back();
-    tasks_.pop_back();
-    return true;
-  }
-
-  std::size_t SizeForTest() const {
-    MutexLock lock(mutex_);
-    return tasks_.size();
-  }
-
- private:
-  mutable Mutex mutex_;
-  std::vector<JoinTask> tasks_ MMJOIN_GUARDED_BY(mutex_);
-};
-
 // Per-NUMA-node sharded work-stealing queue for the join phase.
 //
 // Semantics (docs/EXECUTION.md "Sharded join scheduler"):
 //  - Seeding (single-threaded, between barriers): tasks arrive in global
 //    consume order tagged with a preferred shard (the node their probe data
 //    lives on). Within a shard, pops yield the seeded order -- so with one
-//    active shard the consume order is bit-identical to the old global
-//    TaskQueue, and the iS round-robin order survives per shard.
+//    active shard the consume order is exactly the seeded order, and the iS
+//    round-robin order survives per shard.
 //  - Runtime: a worker pops LIFO from its home shard (the paper's stack
 //    semantics, newest == cache-warm). When the home shard is dry it steals
 //    FIFO -- the task its victim would have run *last* -- walking remote
@@ -124,8 +87,8 @@ class ShardedTaskQueue {
   // Seeds one task in global consume order onto `preferred_shard`.
   void SeedTask(int preferred_shard, JoinTask task);
 
-  // Runtime push (skew sub-tasks split mid-run): LIFO like the old queue --
-  // the pushing shard pops it next.
+  // Runtime push (skew sub-tasks split mid-run): LIFO -- the pushing shard
+  // pops it next.
   void Push(int shard, JoinTask task);
 
   // Pops the newest local task, or -- when `shard` is dry -- steals the
@@ -230,9 +193,6 @@ std::vector<uint32_t> SequentialOrder(uint32_t num_partitions);
 // chunked-round-robin over nodes.
 std::vector<uint32_t> RoundRobinNodeOrder(uint32_t num_partitions,
                                           int num_nodes);
-
-// Builds a queue whose Pop() sequence equals `consume_order`.
-std::vector<JoinTask> TasksFromOrder(const std::vector<uint32_t>& consume_order);
 
 }  // namespace mmjoin::thread
 

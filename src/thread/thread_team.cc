@@ -1,21 +1,11 @@
 #include "thread/thread_team.h"
 
-#include "thread/executor.h"
-
 namespace mmjoin::thread {
 
 std::atomic<uint64_t>& ProcessBarrierWaitNs() {
   // Leaked so barriers inside static-destruction-time teams stay safe.
   static std::atomic<uint64_t>* wait_ns = new std::atomic<uint64_t>(0);
   return *wait_ns;
-}
-
-void RunTeam(int num_threads, const std::function<void(int)>& fn) {
-  MMJOIN_CHECK(num_threads >= 1);
-  const Status status = GlobalExecutor().Dispatch(
-      num_threads, [&fn](const WorkerContext& ctx) { fn(ctx.thread_id); });
-  // The shim predates the Status plumbing; a watchdog timeout here is fatal.
-  MMJOIN_CHECK(status.ok());
 }
 
 }  // namespace mmjoin::thread

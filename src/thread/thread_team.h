@@ -1,11 +1,9 @@
-// Synchronization barrier, chunk partitioning, and the legacy fork/join
-// RunTeam entry point.
+// Synchronization barrier and chunk partitioning.
 //
 // Every join algorithm in the paper is a sequence of parallel phases
 // separated by barriers (histogram -> scatter -> build -> probe). Parallel
-// phases run on a persistent worker pool (thread/executor.h); RunTeam
-// remains as a thin compatibility shim that dispatches on the process-wide
-// pool, so out-of-tree callers keep working without per-call thread spawns.
+// phases run on a persistent worker pool (thread/executor.h); the barrier
+// here separates them, and ChunkRange hands each worker its input slice.
 
 #ifndef MMJOIN_THREAD_THREAD_TEAM_H_
 #define MMJOIN_THREAD_THREAD_TEAM_H_
@@ -14,7 +12,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "obs/trace.h"
 #include "util/annotations.h"
@@ -89,13 +86,6 @@ class Barrier {
   uint64_t generation_ MMJOIN_GUARDED_BY(mutex_) = 0;
   std::atomic<uint64_t>* wait_ns_ = nullptr;
 };
-
-// Compatibility shim: runs `fn(thread_id)` on `num_threads` workers of the
-// process-wide persistent pool (thread::GlobalExecutor()) and blocks until
-// every worker finished. No OS threads are spawned per call; prefer
-// Executor::Dispatch for new code (it also hands out the team barrier and
-// the thread's NUMA node).
-void RunTeam(int num_threads, const std::function<void(int)>& fn);
 
 // Splits [0, total) into `num_threads` near-equal contiguous chunks and
 // returns [begin, end) for `thread_id`. All algorithms use this for the

@@ -133,7 +133,7 @@ class RevenueAggregate final : public exec::Sink {
 // Parallel filter + materialization of the probe column: <l_partkey, rowid>
 // for every lineitem row passing PreJoin. Two passes (count, then fill at
 // precomputed offsets) so the output is dense and deterministic. Used by
-// the Appendix G morphing study (RunQ19Morph); RunQ19 itself goes through
+// the Appendix G morphing study (RunQ19Morph); TryRunQ19 itself goes through
 // the exec:: pipeline.
 numa::NumaBuffer<Tuple> FilterProbe(numa::NumaSystem* system,
                                     const LineitemTable& lineitem,
@@ -236,17 +236,6 @@ StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
   result.total_ns = NowNanos() - start;
   result.join_ns = result.total_ns - result.filter_ns;
   return result;
-}
-
-Q19Result RunQ19(numa::NumaSystem* system, const LineitemTable& lineitem,
-                 const PartTable& part, join::Algorithm algorithm,
-                 int num_threads, Q19Strategy strategy,
-                 thread::Executor* executor, double compaction_threshold) {
-  StatusOr<Q19Result> result =
-      TryRunQ19(system, lineitem, part, algorithm, num_threads, strategy,
-                executor, compaction_threshold);
-  MMJOIN_CHECK(result.ok());
-  return *std::move(result);
 }
 
 Q19MorphResult RunQ19Morph(numa::NumaSystem* system,

@@ -6,7 +6,7 @@
 // positional (late-materialization) attribute accesses, and passing pairs
 // are aggregated into `revenue`.
 //
-// RunQ19 executes the query with any of the four joins the paper evaluates
+// TryRunQ19 executes the query with any of the four joins the paper evaluates
 // (NOP, NOPA, CPRL, CPRA; any of the thirteen works). Both strategies are
 // configurations of the vectorized exec:: pipeline (docs/PIPELINE.md): scan
 // -> pre-filter -> HashJoinProbe -> post-filter -> revenue aggregate, with
@@ -60,17 +60,9 @@ enum class Q19Strategy {
 // `executor` (the process-wide pool when nullptr); no threads are spawned
 // per query. `compaction_threshold` is the pipeline's boundary density
 // threshold (exec::PipelineConfig; < 0 selects the default, 0 disables
-// compaction).
-Q19Result RunQ19(numa::NumaSystem* system, const LineitemTable& lineitem,
-                 const PartTable& part, join::Algorithm algorithm,
-                 int num_threads,
-                 Q19Strategy strategy = Q19Strategy::kPipelined,
-                 thread::Executor* executor = nullptr,
-                 double compaction_threshold = -1.0);
-
-// Status-propagating variant of RunQ19: pipeline failures (injected
-// allocation faults, budget rejections) surface as a Status instead of
-// aborting the process. RunQ19 is a CHECK-wrapper around this. The optional
+// compaction). Pipeline failures (injected allocation faults, budget
+// rejections) surface as a Status; callers with no recovery path use
+// `.value()`, which aborts with the status printed. The optional
 // `mem_budget_bytes` is forwarded to the embedded join
 // (exec::PipelineConfig::mem_budget_bytes semantics).
 StatusOr<Q19Result> TryRunQ19(

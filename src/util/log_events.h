@@ -26,7 +26,6 @@
   X("failpoint.bad_spec")             \
   X("failpoint.unknown_name")         \
   X("joiner.invalid_options")         \
-  X("join.failed")                    \
   X("stats_server.start")             \
   X("stats_server.stop")              \
   X("metrics.sigusr1_dump")           \

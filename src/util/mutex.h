@@ -5,9 +5,9 @@
 // The standard-library types are not annotated under libstdc++, so the
 // thread-safety analysis cannot see std::lock_guard acquire anything. These
 // wrappers are the capability-bearing types every mutex-protected structure
-// in the tree (Executor, TaskQueue, Barrier, TraceRecorder, MetricsRegistry,
-// NumaSystem, JoinAbort) locks through; they compile to exactly the
-// std:: primitives they wrap.
+// in the tree (Executor, ShardedTaskQueue, Barrier, TraceRecorder,
+// MetricsRegistry, NumaSystem, JoinAbort) locks through; they compile to
+// exactly the std:: primitives they wrap.
 //
 // CondVar pairs with Mutex the way absl::CondVar pairs with absl::Mutex:
 // Wait/WaitUntil require the mutex held and release/reacquire it internally,

@@ -192,7 +192,8 @@ const Status& AsStatus(const StatusOr<T>& status_or) {
 
 // Aborts with the status printed when `expr` (a Status or StatusOr) is not
 // OK. For harness and generator paths that have no recovery story: failing
-// loudly beats computing with partial data (same contract as RunJoinOrDie).
+// loudly beats computing with partial data (same contract as
+// StatusOr::value()).
 #define MMJOIN_CHECK_OK(expr)                                                \
   do {                                                                       \
     if (auto&& _mmjoin_ck = (expr); MMJOIN_UNLIKELY(!_mmjoin_ck.ok())) {     \

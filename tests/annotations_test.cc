@@ -1,7 +1,7 @@
 // Tests for the annotated lock layer (util/mutex.h) and for the structures
 // that were converted onto it: the wrappers must behave exactly like the
-// std:: primitives they wrap, and Executor / TaskQueue / Barrier must be
-// observably unchanged after the annotation refactor.
+// std:: primitives they wrap, and Executor / Barrier must be observably
+// unchanged after the annotation refactor.
 //
 // The static side of the story -- that MMJOIN_GUARDED_BY actually REJECTS an
 // unlocked access under clang -- cannot live in a test that has to compile.
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "thread/executor.h"
-#include "thread/task_queue.h"
 #include "thread/thread_team.h"
 #include "util/annotations.h"
 #include "util/mutex.h"
@@ -188,44 +187,6 @@ TEST(AnnotatedExecutor, WatchdogStillFiresAfterRefactor) {
   EXPECT_FALSE(after.ok());
 }
 
-TEST(AnnotatedTaskQueue, LifoUnderConcurrentPushPop) {
-  thread::TaskQueue queue;
-  constexpr int kProducers = 4;
-  constexpr uint32_t kPerProducer = 5000;
-  const uint64_t kTotal = static_cast<uint64_t>(kProducers) * kPerProducer;
-  std::vector<std::thread> threads;
-  threads.reserve(kProducers * 2);
-  std::atomic<uint64_t> popped{0};
-  std::atomic<uint64_t> pop_checksum{0};
-  for (int t = 0; t < kProducers; ++t) {
-    threads.emplace_back([&, t] {
-      for (uint32_t i = 0; i < kPerProducer; ++i) {
-        queue.Push(thread::JoinTask{
-            static_cast<uint32_t>(t) * kPerProducer + i});
-      }
-    });
-    threads.emplace_back([&] {
-      thread::JoinTask task;
-      uint64_t sum = 0;
-      while (popped.load(std::memory_order_relaxed) < kTotal) {
-        if (queue.Pop(&task)) {
-          sum += task.partition;
-          popped.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          std::this_thread::yield();  // producers are still pushing
-        }
-      }
-      pop_checksum.fetch_add(sum, std::memory_order_relaxed);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const uint64_t drained = popped.load(std::memory_order_relaxed);
-  const uint64_t checksum = pop_checksum.load(std::memory_order_relaxed);
-  EXPECT_EQ(drained, kTotal);
-  EXPECT_EQ(checksum, kTotal * (kTotal - 1) / 2);  // every task exactly once
-  EXPECT_EQ(queue.SizeForTest(), 0u);
-}
-
 TEST(AnnotatedBarrier, GenerationsStayInLockstep) {
   constexpr int kThreads = 5;
   constexpr int kGenerations = 200;
@@ -233,21 +194,23 @@ TEST(AnnotatedBarrier, GenerationsStayInLockstep) {
   std::vector<std::atomic<int>> counts(kGenerations);
   for (auto& c : counts) c.store(0, std::memory_order_relaxed);
   std::atomic<bool> violated{false};
-  thread::RunTeam(kThreads, [&](int) {
-    for (int g = 0; g < kGenerations; ++g) {
-      counts[g].fetch_add(1, std::memory_order_acq_rel);
-      barrier.ArriveAndWait();
-      // After the barrier, generation g must be fully arrived...
-      if (counts[g].load(std::memory_order_acquire) != kThreads) {
-        violated.store(true, std::memory_order_relaxed);
-      }
-      // ...and generation g+1 not yet overshot.
-      if (g + 1 < kGenerations &&
-          counts[g + 1].load(std::memory_order_acquire) > kThreads) {
-        violated.store(true, std::memory_order_relaxed);
-      }
-    }
-  });
+  const Status status = thread::GlobalExecutor().Dispatch(
+      kThreads, [&](const thread::WorkerContext&) {
+        for (int g = 0; g < kGenerations; ++g) {
+          counts[g].fetch_add(1, std::memory_order_acq_rel);
+          barrier.ArriveAndWait();
+          // After the barrier, generation g must be fully arrived...
+          if (counts[g].load(std::memory_order_acquire) != kThreads) {
+            violated.store(true, std::memory_order_relaxed);
+          }
+          // ...and generation g+1 not yet overshot.
+          if (g + 1 < kGenerations &&
+              counts[g + 1].load(std::memory_order_acquire) > kThreads) {
+            violated.store(true, std::memory_order_relaxed);
+          }
+        }
+      });
+  ASSERT_TRUE(status.ok());
   EXPECT_FALSE(violated.load(std::memory_order_relaxed));
 }
 

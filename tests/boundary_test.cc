@@ -11,7 +11,7 @@
 #include "join/join_algorithm.h"
 #include "join/reference.h"
 #include "numa/system.h"
-#include "thread/thread_team.h"
+#include "thread/executor.h"
 #include "workload/relation.h"
 
 namespace mmjoin {
@@ -244,26 +244,29 @@ TEST(Boundary, ConciseTableParallelRegionBuild) {
 
   std::vector<std::vector<uint64_t>> bucket_of(kThreads);
   std::vector<std::vector<Tuple>> overflow(kThreads);
-  thread::Barrier barrier(kThreads);
-  thread::RunTeam(kThreads, [&](int tid) {
-    bucket_of[tid].resize(by_region[tid].size());
-    table.MarkBits(
-        ConstTupleSpan(by_region[tid].data(), by_region[tid].size()),
-        table.RegionForThread(tid, kThreads), bucket_of[tid].data(),
-        &overflow[tid]);
-    barrier.ArriveAndWait();
-    if (tid == 0) {
-      table.FinalizePrefix();
-      std::vector<Tuple> merged;
-      for (const auto& of : overflow) {
-        merged.insert(merged.end(), of.begin(), of.end());
-      }
-      table.SetOverflow(std::move(merged));
-    }
-    barrier.ArriveAndWait();
-    table.Place(ConstTupleSpan(by_region[tid].data(), by_region[tid].size()),
-                bucket_of[tid].data());
-  });
+  const Status status = thread::GlobalExecutor().Dispatch(
+      kThreads, [&](const thread::WorkerContext& ctx) {
+        const int tid = ctx.thread_id;
+        bucket_of[tid].resize(by_region[tid].size());
+        table.MarkBits(
+            ConstTupleSpan(by_region[tid].data(), by_region[tid].size()),
+            table.RegionForThread(tid, kThreads), bucket_of[tid].data(),
+            &overflow[tid]);
+        ctx.barrier->ArriveAndWait();
+        if (tid == 0) {
+          table.FinalizePrefix();
+          std::vector<Tuple> merged;
+          for (const auto& of : overflow) {
+            merged.insert(merged.end(), of.begin(), of.end());
+          }
+          table.SetOverflow(std::move(merged));
+        }
+        ctx.barrier->ArriveAndWait();
+        table.Place(
+            ConstTupleSpan(by_region[tid].data(), by_region[tid].size()),
+            bucket_of[tid].data());
+      });
+  ASSERT_TRUE(status.ok());
 
   for (int t = 0; t < kThreads; ++t) {
     for (const Tuple& tuple : by_region[t]) {

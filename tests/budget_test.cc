@@ -238,9 +238,10 @@ TEST(PeakResident, AllocationRaisesPeakFreeLowersCurrent) {
   mem::ResetPeakResident();
   const mem::AllocStats before = mem::GetAllocStats();
   constexpr uint64_t kBytes = 4u << 20;  // mmap-class
-  void* ptr =
-      mem::AllocateAligned(kBytes, kCacheLineSize, mem::PagePolicy::kDefault);
-  ASSERT_NE(ptr, nullptr);
+  const StatusOr<void*> allocated = mem::TryAllocateAligned(
+      kBytes, kCacheLineSize, mem::PagePolicy::kDefault);
+  ASSERT_TRUE(allocated.ok()) << allocated.status().ToString();
+  void* ptr = *allocated;
   const mem::AllocStats held = mem::GetAllocStats();
   EXPECT_GE(held.current_bytes, before.current_bytes + kBytes);
   EXPECT_GE(held.peak_bytes, before.current_bytes + kBytes);

@@ -190,10 +190,11 @@ TEST(Joiner, PoolReusedAcrossJoinsAndQ19) {
       tpch::GenerateLineitem(joiner.system(), tpch_options);
   tpch::PartTable part = tpch::GeneratePart(joiner.system(), tpch_options);
   const double reference = tpch::Q19Reference(lineitem, part);
-  const tpch::Q19Result q19 = tpch::RunQ19(
+  const StatusOr<tpch::Q19Result> q19 = tpch::TryRunQ19(
       joiner.system(), lineitem, part, join::Algorithm::kCPRL,
       joiner.num_threads(), tpch::Q19Strategy::kPipelined, joiner.executor());
-  EXPECT_NEAR(q19.revenue, reference, std::abs(reference) * 1e-9 + 1e-6);
+  ASSERT_TRUE(q19.ok()) << q19.status().ToString();
+  EXPECT_NEAR(q19->revenue, reference, std::abs(reference) * 1e-9 + 1e-6);
 
   const thread::ExecutorStats stats = joiner.executor()->stats();
   EXPECT_EQ(stats.threads_spawned,

@@ -474,14 +474,15 @@ TEST_P(Q19DifferentialTest, RevenueMatchesReferenceAcrossThresholds) {
   for (const Q19Strategy strategy :
        {Q19Strategy::kPipelined, Q19Strategy::kJoinIndex}) {
     for (const double threshold : {0.0, 0.5, 1.0}) {
-      const Q19Result result =
-          RunQ19(exec::System(), lineitem, part, GetParam(),
-                 /*num_threads=*/4, strategy, /*executor=*/nullptr,
-                 threshold);
-      EXPECT_NEAR(result.revenue, expected, tolerance)
+      const StatusOr<Q19Result> result =
+          TryRunQ19(exec::System(), lineitem, part, GetParam(),
+                    /*num_threads=*/4, strategy, /*executor=*/nullptr,
+                    threshold);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_NEAR(result->revenue, expected, tolerance)
           << join::NameOf(GetParam()) << " strategy="
           << static_cast<int>(strategy) << " threshold=" << threshold;
-      EXPECT_EQ(result.join_matches, result.filtered_rows)
+      EXPECT_EQ(result->join_matches, result->filtered_rows)
           << join::NameOf(GetParam());
     }
   }

@@ -275,6 +275,9 @@ TEST_F(JoinFaultTest, AllocatorLevelFaultPropagates) {
   const auto failed = joiner_.Run(join::Algorithm::kPRO, build_, probe_);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+  // The allocator's own status reaches the caller, naming the failpoint.
+  EXPECT_NE(failed.status().message().find("alloc.mmap"), std::string::npos)
+      << failed.status().ToString();
   EXPECT_GE(mem::GetAllocStats().injected_failures, 1u);
 
   const auto recovered = joiner_.Run(join::Algorithm::kPRO, build_, probe_);
@@ -455,23 +458,24 @@ TEST(Degradation, HugePageDenialFallsBackToDefaultPages) {
   ASSERT_TRUE(failpoint::Configure("alloc.madvise_huge=once").ok());
   const mem::AllocStats before = mem::GetAllocStats();
   // Above the mmap threshold so the huge-page path is taken.
-  void* ptr = system.TryAllocate(4u << 20, numa::Placement::kLocal);
+  const StatusOr<void*> ptr =
+      system.TryAllocate(4u << 20, numa::Placement::kLocal);
   failpoint::DeactivateAll();
-  ASSERT_NE(ptr, nullptr);  // degraded, not failed
+  ASSERT_TRUE(ptr.ok()) << ptr.status().ToString();  // degraded, not failed
   const mem::AllocStats after = mem::GetAllocStats();
   EXPECT_GT(after.huge_page_fallbacks, before.huge_page_fallbacks);
-  system.Free(ptr);
+  system.Free(*ptr);
 }
 
 TEST(Degradation, OutOfRangeHomeNodeClampsAndCounts) {
   numa::NumaSystem system(2);
   const mem::AllocStats before = mem::GetAllocStats();
-  void* ptr =
+  const StatusOr<void*> ptr =
       system.TryAllocate(1u << 12, numa::Placement::kLocal, /*home_node=*/99);
-  ASSERT_NE(ptr, nullptr);
+  ASSERT_TRUE(ptr.ok()) << ptr.status().ToString();
   const mem::AllocStats after = mem::GetAllocStats();
   EXPECT_GT(after.numa_degradations, before.numa_degradations);
-  system.Free(ptr);
+  system.Free(*ptr);
 }
 
 TEST(Validation, JoinConfigRejectsUnrunnableSettings) {

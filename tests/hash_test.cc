@@ -14,7 +14,7 @@
 #include "hash/hash_functions.h"
 #include "hash/linear_probing_table.h"
 #include "numa/system.h"
-#include "thread/thread_team.h"
+#include "thread/executor.h"
 #include "util/rng.h"
 
 namespace mmjoin::hash {
@@ -119,12 +119,14 @@ TEST(LinearProbingTable, ConcurrentInsertsAllVisible) {
   const auto tuples = RandomTuples(40000, 1u << 30, 2);
   LinearProbingTable<MurmurHash> table(System(), tuples.size(),
                                        numa::Placement::kInterleavedPages);
-  thread::RunTeam(8, [&](int tid) {
-    const thread::Range range = thread::ChunkRange(tuples.size(), 8, tid);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      table.InsertConcurrent(tuples[i]);
-    }
-  });
+  const Status status = thread::GlobalExecutor().ParallelFor(
+      8, tuples.size(),
+      [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
+        for (std::size_t i = begin; i < end; ++i) {
+          table.InsertConcurrent(tuples[i]);
+        }
+      });
+  ASSERT_TRUE(status.ok());
   const auto groups = GroupByKey(tuples);
   for (const auto& [key, payloads] : groups) {
     ASSERT_EQ(CollectMatches(table, key), payloads) << "key=" << key;
@@ -177,12 +179,14 @@ TEST(ChainedHashTable, ConcurrentInsertsAllVisible) {
   const auto tuples = RandomTuples(30000, 1u << 28, 4);
   ChainedHashTable<MurmurHash> table(System(), tuples.size(),
                                      numa::Placement::kInterleavedPages);
-  thread::RunTeam(8, [&](int tid) {
-    const thread::Range range = thread::ChunkRange(tuples.size(), 8, tid);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      table.InsertConcurrent(tuples[i]);
-    }
-  });
+  const Status status = thread::GlobalExecutor().ParallelFor(
+      8, tuples.size(),
+      [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
+        for (std::size_t i = begin; i < end; ++i) {
+          table.InsertConcurrent(tuples[i]);
+        }
+      });
+  ASSERT_TRUE(status.ok());
   const auto groups = GroupByKey(tuples);
   for (const auto& [key, payloads] : groups) {
     ASSERT_EQ(CollectMatches(table, key), payloads) << "key=" << key;
@@ -297,13 +301,15 @@ TEST(ArrayTable, KeyShiftIndexesPartitionedKeys) {
 TEST(ArrayTable, ConcurrentInsertBitmapSafe) {
   hash::ArrayTable table(System(), 100000, 0,
                          numa::Placement::kInterleavedPages);
-  thread::RunTeam(8, [&](int tid) {
-    const thread::Range range = thread::ChunkRange(100000, 8, tid);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      table.InsertConcurrent(
-          Tuple{static_cast<uint32_t>(i), static_cast<uint32_t>(i * 2)});
-    }
-  });
+  const Status status = thread::GlobalExecutor().ParallelFor(
+      8, 100000,
+      [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
+        for (std::size_t i = begin; i < end; ++i) {
+          table.InsertConcurrent(
+              Tuple{static_cast<uint32_t>(i), static_cast<uint32_t>(i * 2)});
+        }
+      });
+  ASSERT_TRUE(status.ok());
   for (uint32_t i = 0; i < 100000; ++i) {
     uint32_t payload = 0;
     ASSERT_EQ(table.Probe(i, [&](Tuple t) { payload = t.payload; }), 1u);

@@ -122,9 +122,10 @@ TEST_P(Q19AllJoinsTest, EveryAlgorithmAnswersQ19) {
       new tpch::PartTable(tpch::GeneratePart(system, options));
   static const double reference = tpch::Q19Reference(*lineitem, *part);
 
-  const tpch::Q19Result result =
-      tpch::RunQ19(system, *lineitem, *part, GetParam(), 4);
-  EXPECT_NEAR(result.revenue, reference, std::abs(reference) * 1e-9 + 1e-6)
+  const StatusOr<tpch::Q19Result> result =
+      tpch::TryRunQ19(system, *lineitem, *part, GetParam(), 4);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NEAR(result->revenue, reference, std::abs(reference) * 1e-9 + 1e-6)
       << join::NameOf(GetParam());
 }
 

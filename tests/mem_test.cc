@@ -14,8 +14,10 @@ namespace mmjoin::mem {
 namespace {
 
 TEST(AlignedAlloc, SmallAllocationAligned) {
-  void* p = AllocateAligned(100, 64, PagePolicy::kDefault);
-  ASSERT_NE(p, nullptr);
+  const StatusOr<void*> allocated =
+      TryAllocateAligned(100, 64, PagePolicy::kDefault);
+  ASSERT_TRUE(allocated.ok()) << allocated.status().ToString();
+  void* p = *allocated;
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
   std::memset(p, 0xAB, 100);
   FreeAligned(p, 100);
@@ -23,8 +25,10 @@ TEST(AlignedAlloc, SmallAllocationAligned) {
 
 TEST(AlignedAlloc, LargeAllocationAlignedAndWritable) {
   const std::size_t bytes = 8 << 20;  // mmap path
-  void* p = AllocateAligned(bytes, 64, PagePolicy::kDefault);
-  ASSERT_NE(p, nullptr);
+  const StatusOr<void*> allocated =
+      TryAllocateAligned(bytes, 64, PagePolicy::kDefault);
+  ASSERT_TRUE(allocated.ok()) << allocated.status().ToString();
+  void* p = *allocated;
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
   auto* c = static_cast<char*>(p);
   c[0] = 1;
@@ -36,8 +40,10 @@ TEST(AlignedAlloc, LargeAllocationAlignedAndWritable) {
 
 TEST(AlignedAlloc, HugePagePolicyAllocates) {
   const std::size_t bytes = 4 << 20;
-  void* p = AllocateAligned(bytes, 64, PagePolicy::kHuge);
-  ASSERT_NE(p, nullptr);
+  const StatusOr<void*> allocated =
+      TryAllocateAligned(bytes, 64, PagePolicy::kHuge);
+  ASSERT_TRUE(allocated.ok()) << allocated.status().ToString();
+  void* p = *allocated;
   // Huge-page requests are aligned to the huge page size.
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePageSize, 0u);
   PrefaultPages(p, bytes);
@@ -46,29 +52,20 @@ TEST(AlignedAlloc, HugePagePolicyAllocates) {
 
 TEST(AlignedAlloc, SmallPagePolicyAllocates) {
   const std::size_t bytes = 4 << 20;
-  void* p = AllocateAligned(bytes, 64, PagePolicy::kSmall);
-  ASSERT_NE(p, nullptr);
+  const StatusOr<void*> allocated =
+      TryAllocateAligned(bytes, 64, PagePolicy::kSmall);
+  ASSERT_TRUE(allocated.ok()) << allocated.status().ToString();
+  void* p = *allocated;
   PrefaultPages(p, bytes);
   FreeAligned(p, bytes);
 }
 
 TEST(AlignedAlloc, ZeroBytesYieldsUsablePointer) {
-  void* p = AllocateAligned(0, 64, PagePolicy::kDefault);
-  ASSERT_NE(p, nullptr);
+  const StatusOr<void*> allocated =
+      TryAllocateAligned(0, 64, PagePolicy::kDefault);
+  ASSERT_TRUE(allocated.ok()) << allocated.status().ToString();
+  void* p = *allocated;
   FreeAligned(p, 0);
-}
-
-TEST(AlignedBuffer, RaiiAndMove) {
-  AlignedBuffer<uint64_t> a(1000, PagePolicy::kDefault);
-  ASSERT_EQ(a.size(), 1000u);
-  a[0] = 7;
-  a[999] = 9;
-  AlignedBuffer<uint64_t> b = std::move(a);
-  EXPECT_EQ(b.size(), 1000u);
-  EXPECT_EQ(b[0], 7u);
-  EXPECT_EQ(b[999], 9u);
-  EXPECT_EQ(a.data(), nullptr);
-  EXPECT_TRUE(a.empty());
 }
 
 TEST(NtStore, AlignedCacheLineCopy) {

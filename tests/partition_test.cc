@@ -13,7 +13,9 @@
 #include "partition/chunked.h"
 #include "partition/model.h"
 #include "partition/radix.h"
+#include "thread/executor.h"
 #include "thread/thread_team.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -44,14 +46,24 @@ std::multiset<uint64_t> PackedMultiset(const Tuple* data, std::size_t n) {
 
 void RunGlobalPartition(GlobalRadixPartitioner* partitioner,
                         int num_threads) {
-  thread::Barrier barrier(num_threads);
-  thread::RunTeam(num_threads, [&](int tid) {
-    partitioner->BuildHistogram(tid);
-    barrier.ArriveAndWait();
-    if (tid == 0) partitioner->ComputeOffsets();
-    barrier.ArriveAndWait();
-    partitioner->Scatter(tid, 0);
-  });
+  const Status status = thread::GlobalExecutor().Dispatch(
+      num_threads, [&](const thread::WorkerContext& ctx) {
+        partitioner->BuildHistogram(ctx.thread_id);
+        ctx.barrier->ArriveAndWait();
+        if (ctx.thread_id == 0) partitioner->ComputeOffsets();
+        ctx.barrier->ArriveAndWait();
+        partitioner->Scatter(ctx.thread_id, 0);
+      });
+  ASSERT_TRUE(status.ok());
+}
+
+void RunChunkedPartition(ChunkedRadixPartitioner* partitioner,
+                         int num_threads) {
+  const Status status = thread::GlobalExecutor().Dispatch(
+      num_threads, [&](const thread::WorkerContext& ctx) {
+        partitioner->PartitionChunk(ctx.thread_id, 0);
+      });
+  ASSERT_TRUE(status.ok());
 }
 
 class GlobalPartitionTest
@@ -134,6 +146,34 @@ TEST(GlobalPartition, ShiftedRadixFunction) {
   }
 }
 
+// The SWWCB scratch lines are per-call heap memory, not allocator regions:
+// an allocator fault armed after the output buffers exist must not reach the
+// scatter, which has no way to report it and must produce the unarmed
+// layout.
+TEST(GlobalPartition, SwwcbScatterIsImmuneToAllocatorFaults) {
+  const auto input = RandomTuples(20000, 1u << 20, 41);
+  std::vector<Tuple> unarmed(input.size());
+  std::vector<Tuple> armed(input.size());
+  std::vector<uint64_t> offsets[2];
+  for (const bool fault : {false, true}) {
+    RadixOptions options;
+    options.fn = RadixFn{0, 8};
+    options.use_swwcb = true;
+    options.num_threads = 4;
+    GlobalRadixPartitioner partitioner(
+        System(), options, ConstTupleSpan(input.data(), input.size()),
+        TupleSpan(fault ? armed.data() : unarmed.data(), input.size()));
+    if (fault) {
+      ASSERT_TRUE(failpoint::Configure("alloc.mmap=always").ok());
+    }
+    RunGlobalPartition(&partitioner, 4);
+    failpoint::DeactivateAll();
+    offsets[fault] = partitioner.layout().offsets;
+  }
+  EXPECT_EQ(offsets[true], offsets[false]);
+  EXPECT_EQ(armed, unarmed);
+}
+
 TEST(SubPartitionSerial, RefinesAPartition) {
   // Take keys sharing low 4 bits (= partition 5 of a 4-bit pass) and refine
   // by the next 4 bits.
@@ -176,8 +216,7 @@ TEST_P(ChunkedPartitionTest, FragmentsCoverChunksExactly) {
   ChunkedRadixPartitioner partitioner(
       System(), options, ConstTupleSpan(input.data(), input.size()),
       TupleSpan(output.data(), output.size()));
-  thread::RunTeam(threads,
-                  [&](int tid) { partitioner.PartitionChunk(tid, 0); });
+  RunChunkedPartition(&partitioner, threads);
 
   const ChunkedLayout& layout = partitioner.layout();
   ASSERT_EQ(layout.num_chunks, threads);
@@ -210,6 +249,32 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChunkedPartitionTest,
                          ::testing::Combine(::testing::Values(1, 2, 4, 7),
                                             ::testing::Values(0u, 3u, 8u)));
 
+// Chunked counterpart of SwwcbScatterIsImmuneToAllocatorFaults.
+TEST(ChunkedPartition, SwwcbScatterIsImmuneToAllocatorFaults) {
+  const auto input = RandomTuples(17777, 1u << 20, 43);
+  std::vector<Tuple> unarmed(input.size());
+  std::vector<Tuple> armed(input.size());
+  ChunkedLayout layouts[2];
+  for (const bool fault : {false, true}) {
+    RadixOptions options;
+    options.fn = RadixFn{0, 8};
+    options.use_swwcb = true;
+    options.num_threads = 4;
+    ChunkedRadixPartitioner partitioner(
+        System(), options, ConstTupleSpan(input.data(), input.size()),
+        TupleSpan(fault ? armed.data() : unarmed.data(), input.size()));
+    if (fault) {
+      ASSERT_TRUE(failpoint::Configure("alloc.mmap=always").ok());
+    }
+    RunChunkedPartition(&partitioner, 4);
+    failpoint::DeactivateAll();
+    layouts[fault] = partitioner.layout();
+  }
+  EXPECT_EQ(layouts[true].fragment_offsets, layouts[false].fragment_offsets);
+  EXPECT_EQ(layouts[true].fragment_sizes, layouts[false].fragment_sizes);
+  EXPECT_EQ(armed, unarmed);
+}
+
 TEST(ChunkedPartition, PartitionSizeSumsFragments) {
   const auto input = RandomTuples(5000, 256, 21);
   std::vector<Tuple> output(input.size());
@@ -220,7 +285,7 @@ TEST(ChunkedPartition, PartitionSizeSumsFragments) {
   ChunkedRadixPartitioner partitioner(
       System(), options, ConstTupleSpan(input.data(), input.size()),
       TupleSpan(output.data(), output.size()));
-  thread::RunTeam(4, [&](int tid) { partitioner.PartitionChunk(tid, 0); });
+  RunChunkedPartition(&partitioner, 4);
 
   uint64_t total = 0;
   for (uint32_t p = 0; p < 16; ++p) {
@@ -245,10 +310,12 @@ TEST(ChunkedPartition, NoRemoteWritesWhenThreadsMatchNodes) {
   ChunkedRadixPartitioner partitioner(
       &system, options, rel.cspan(),
       TupleSpan(output.data(), output.size()));
-  thread::RunTeam(4, [&](int tid) {
-    partitioner.PartitionChunk(tid,
-                               system.topology().NodeOfThread(tid, 4));
-  });
+  const Status status = thread::GlobalExecutor().Dispatch(
+      4, [&](const thread::WorkerContext& ctx) {
+        partitioner.PartitionChunk(
+            ctx.thread_id, system.topology().NodeOfThread(ctx.thread_id, 4));
+      });
+  ASSERT_TRUE(status.ok());
   EXPECT_EQ(system.counters()->TotalRemoteWriteBytes(), 0u);
   EXPECT_GT(system.counters()->TotalLocalWriteBytes(), 0u);
 }
@@ -267,14 +334,16 @@ TEST(GlobalPartition, HasRemoteWrites) {
   GlobalRadixPartitioner partitioner(
       &system, options, rel.cspan(),
       TupleSpan(output.data(), output.size()));
-  thread::Barrier barrier(4);
-  thread::RunTeam(4, [&](int tid) {
-    partitioner.BuildHistogram(tid);
-    barrier.ArriveAndWait();
-    if (tid == 0) partitioner.ComputeOffsets();
-    barrier.ArriveAndWait();
-    partitioner.Scatter(tid, system.topology().NodeOfThread(tid, 4));
-  });
+  const Status status = thread::GlobalExecutor().Dispatch(
+      4, [&](const thread::WorkerContext& ctx) {
+        partitioner.BuildHistogram(ctx.thread_id);
+        ctx.barrier->ArriveAndWait();
+        if (ctx.thread_id == 0) partitioner.ComputeOffsets();
+        ctx.barrier->ArriveAndWait();
+        partitioner.Scatter(ctx.thread_id,
+                            system.topology().NodeOfThread(ctx.thread_id, 4));
+      });
+  ASSERT_TRUE(status.ok());
   // Each thread writes into every partition; 3/4 of partition memory is
   // remote to it.
   EXPECT_GT(system.counters()->TotalRemoteWriteBytes(),

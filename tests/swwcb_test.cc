@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "mem/aligned_alloc.h"
 #include "partition/swwcb.h"
 #include "util/types.h"
 
@@ -28,7 +27,7 @@ class SwwcbTest : public ::testing::Test {
 
 TEST_F(SwwcbTest, AlignedRangeFullLines) {
   Init(64);
-  mem::AlignedBuffer<CacheLineBuffer> buffers(1, mem::PagePolicy::kDefault);
+  std::vector<CacheLineBuffer> buffers(1);
   ScatterCursor cursor{0, 0};
   for (uint32_t i = 0; i < 16; ++i) {
     SwwcbPush(output_.data(), buffers.data(), &cursor, 0,
@@ -45,7 +44,7 @@ TEST_F(SwwcbTest, AlignedRangeFullLines) {
 TEST_F(SwwcbTest, UnalignedStartDoesNotClobberPredecessor) {
   // Start mid-line (offset 3): slots 0..2 belong to a previous writer.
   Init(64);
-  mem::AlignedBuffer<CacheLineBuffer> buffers(1, mem::PagePolicy::kDefault);
+  std::vector<CacheLineBuffer> buffers(1);
   ScatterCursor cursor{3, 3};
   for (uint32_t i = 0; i < 20; ++i) {
     SwwcbPush(output_.data(), buffers.data(), &cursor, 0, Tuple{i, i});
@@ -65,7 +64,7 @@ TEST_F(SwwcbTest, ShortRangeWithinOneLine) {
   // Fewer tuples than a cache line, starting unaligned: everything flows
   // through the drain path.
   Init(16);
-  mem::AlignedBuffer<CacheLineBuffer> buffers(1, mem::PagePolicy::kDefault);
+  std::vector<CacheLineBuffer> buffers(1);
   ScatterCursor cursor{5, 5};
   for (uint32_t i = 0; i < 2; ++i) {
     SwwcbPush(output_.data(), buffers.data(), &cursor, 0, Tuple{i, 9});
@@ -79,7 +78,7 @@ TEST_F(SwwcbTest, ShortRangeWithinOneLine) {
 
 TEST_F(SwwcbTest, EveryStartOffsetAndLength) {
   // Exhaustive property check over start alignment x tuple count.
-  mem::AlignedBuffer<CacheLineBuffer> buffers(1, mem::PagePolicy::kDefault);
+  std::vector<CacheLineBuffer> buffers(1);
   for (uint64_t start = 0; start < 8; ++start) {
     for (uint64_t count = 0; count <= 40; ++count) {
       Init(64);
@@ -107,7 +106,7 @@ TEST_F(SwwcbTest, EveryStartOffsetAndLength) {
 TEST_F(SwwcbTest, InterleavedPartitionsStayDisjoint) {
   // Two partitions with adjacent ranges, pushed in interleaved order.
   Init(64);
-  mem::AlignedBuffer<CacheLineBuffer> buffers(2, mem::PagePolicy::kDefault);
+  std::vector<CacheLineBuffer> buffers(2);
   ScatterCursor cursors[2] = {{2, 2}, {21, 21}};  // partition 0: [2,21)
   for (uint32_t i = 0; i < 19; ++i) {
     SwwcbPush(output_.data(), buffers.data(), cursors, 0, Tuple{i, 0});

@@ -1,5 +1,5 @@
-// Unit tests for the threading primitives: the persistent executor, team
-// shim, barrier, chunk ranges, and the task-queue scheduling orders.
+// Unit tests for the threading primitives: the persistent executor, barrier,
+// chunk ranges, and the task-queue scheduling orders.
 
 #include <gtest/gtest.h>
 
@@ -17,35 +17,21 @@
 namespace mmjoin::thread {
 namespace {
 
-TEST(RunTeam, RunsEveryThreadExactlyOnce) {
-  std::vector<std::atomic<int>> counts(8);
-  for (auto& c : counts) c = 0;
-  RunTeam(8, [&](int tid) { counts[tid].fetch_add(1); });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(RunTeam, SingleThreadInline) {
-  int value = 0;
-  RunTeam(1, [&](int tid) {
-    EXPECT_EQ(tid, 0);
-    value = 42;
-  });
-  EXPECT_EQ(value, 42);
-}
-
 TEST(Barrier, SynchronizesPhases) {
+  // A standalone Barrier (not the executor's team barrier) across one
+  // dispatch.
   constexpr int kThreads = 6;
   Barrier barrier(kThreads);
   std::atomic<int> phase1{0};
   std::atomic<bool> violated{false};
-  RunTeam(kThreads, [&](int tid) {
+  ASSERT_TRUE(GlobalExecutor().Dispatch(kThreads, [&](const WorkerContext&) {
     phase1.fetch_add(1);
     barrier.ArriveAndWait();
     // After the barrier every thread must observe all phase-1 increments.
     if (phase1.load() != kThreads) violated = true;
     barrier.ArriveAndWait();  // reusable
     barrier.ArriveAndWait();
-  });
+  }).ok());
   EXPECT_FALSE(violated.load());
 }
 
@@ -230,48 +216,6 @@ TEST(ParallelFor, TotalZeroDispatchesNothing) {
   EXPECT_EQ(executor.stats().dispatches, before);
 }
 
-TEST(RunTeamShim, RoutesOverThePersistentPool) {
-  // RunTeam is a shim over the process-wide executor: consecutive calls must
-  // not grow the pool.
-  RunTeam(4, [](int) {});
-  const ExecutorStats before = GlobalExecutor().stats();
-  for (int i = 0; i < 50; ++i) {
-    RunTeam(4, [](int) {});
-  }
-  const ExecutorStats after = GlobalExecutor().stats();
-  EXPECT_EQ(after.threads_spawned, before.threads_spawned);
-  EXPECT_EQ(after.dispatches, before.dispatches + 50);
-}
-
-TEST(TaskQueue, LifoOrder) {
-  TaskQueue queue;
-  queue.Push(JoinTask{1});
-  queue.Push(JoinTask{2});
-  queue.Push(JoinTask{3});
-  JoinTask task;
-  ASSERT_TRUE(queue.Pop(&task));
-  EXPECT_EQ(task.partition, 3u);
-  ASSERT_TRUE(queue.Pop(&task));
-  EXPECT_EQ(task.partition, 2u);
-  ASSERT_TRUE(queue.Pop(&task));
-  EXPECT_EQ(task.partition, 1u);
-  EXPECT_FALSE(queue.Pop(&task));
-}
-
-TEST(TaskQueue, ConcurrentDrainYieldsEveryTaskOnce) {
-  std::vector<JoinTask> initial;
-  for (uint32_t p = 0; p < 1000; ++p) initial.push_back(JoinTask{p});
-  TaskQueue queue(std::move(initial));
-
-  std::vector<std::atomic<int>> seen(1000);
-  for (auto& s : seen) s = 0;
-  RunTeam(8, [&](int) {
-    JoinTask task;
-    while (queue.Pop(&task)) seen[task.partition].fetch_add(1);
-  });
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
 TEST(SchedulingOrder, SequentialIsIdentity) {
   const std::vector<uint32_t> order = SequentialOrder(5);
   EXPECT_EQ(order, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
@@ -307,18 +251,6 @@ TEST(SchedulingOrder, RoundRobinFirstTasksSpanAllNodes) {
   EXPECT_EQ(blocks.size(), static_cast<std::size_t>(nodes));
 }
 
-TEST(SchedulingOrder, TasksFromOrderPreservesConsumeOrder) {
-  const std::vector<uint32_t> order = {5, 3, 1};
-  TaskQueue queue(TasksFromOrder(order));
-  JoinTask task;
-  ASSERT_TRUE(queue.Pop(&task));
-  EXPECT_EQ(task.partition, 5u);
-  ASSERT_TRUE(queue.Pop(&task));
-  EXPECT_EQ(task.partition, 3u);
-  ASSERT_TRUE(queue.Pop(&task));
-  EXPECT_EQ(task.partition, 1u);
-}
-
 // --- ShardedTaskQueue -----------------------------------------------------
 
 std::vector<int> AllShards(int n) {
@@ -352,9 +284,9 @@ TEST(ShardedTaskQueue, LocalPopsFollowSeedOrderThenRuntimeLifo) {
 
 TEST(ShardedTaskQueue, SingleActiveShardMatchesGlobalQueueOrder) {
   // The 1-thread contract: with one active shard, every seed remaps there
-  // and the consume order is bit-identical to the old global LIFO queue.
+  // and shard 0 pops exactly the seeded consume order -- the paper's single
+  // global LIFO stack seeded in reverse.
   const std::vector<uint32_t> order = RoundRobinNodeOrder(16, 4);
-  TaskQueue global(TasksFromOrder(order));
   ShardedTaskQueue sharded(4);
   sharded.BeginRun({0}, nullptr);
   for (const uint32_t p : order) {
@@ -362,13 +294,11 @@ TEST(ShardedTaskQueue, SingleActiveShardMatchesGlobalQueueOrder) {
     // only shard 0 is active.
     sharded.SeedTask(static_cast<int>(p) % 4, JoinTask{p});
   }
-  JoinTask from_global, from_sharded;
+  JoinTask from_sharded;
   for (std::size_t i = 0; i < order.size(); ++i) {
-    ASSERT_TRUE(global.Pop(&from_global));
     ASSERT_TRUE(sharded.Pop(0, &from_sharded));
-    EXPECT_EQ(from_sharded.partition, from_global.partition) << "pop " << i;
+    EXPECT_EQ(from_sharded.partition, order[i]) << "pop " << i;
   }
-  EXPECT_FALSE(global.Pop(&from_global));
   EXPECT_FALSE(sharded.Pop(0, &from_sharded));
 }
 
@@ -466,8 +396,8 @@ TEST(ShardedTaskQueue, ConcurrentDrainWithSkewPushesLosesNothing) {
   std::vector<std::atomic<int>> seen(kSeeded + kSplits);
   for (auto& s : seen) s = 0;
   std::atomic<uint32_t> next_split{0};
-  RunTeam(8, [&](int tid) {
-    const int node = numa::Topology(4).NodeOfThread(tid, 8);
+  ASSERT_TRUE(GlobalExecutor().Dispatch(8, [&](const WorkerContext& ctx) {
+    const int node = numa::Topology(4).NodeOfThread(ctx.thread_id, 8);
     JoinTask task;
     while (queue.Pop(node, &task)) {
       seen[task.partition].fetch_add(1, std::memory_order_relaxed);
@@ -477,7 +407,7 @@ TEST(ShardedTaskQueue, ConcurrentDrainWithSkewPushesLosesNothing) {
         queue.Push(node, JoinTask{kSeeded + split});
       }
     }
-  });
+  }).ok());
   for (std::size_t p = 0; p < seen.size(); ++p) {
     EXPECT_EQ(seen[p].load(), 1) << "task " << p;
   }

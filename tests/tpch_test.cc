@@ -143,14 +143,15 @@ TEST_P(Q19JoinsTest, MatchesScanReference) {
   PartTable part = GeneratePart(System(), options);
 
   const double expected = Q19Reference(lineitem, part);
-  const Q19Result result =
-      RunQ19(System(), lineitem, part, GetParam(), /*num_threads=*/4);
-  EXPECT_NEAR(result.revenue, expected, std::abs(expected) * 1e-9 + 1e-6);
-  EXPECT_GT(result.filtered_rows, 0u);
-  EXPECT_EQ(result.join_matches, result.filtered_rows);  // PK join: 1 match
-  EXPECT_GT(result.result_rows, 0u);
-  EXPECT_GT(result.filter_ns, 0);
-  EXPECT_GT(result.join_ns, 0);
+  const StatusOr<Q19Result> result =
+      TryRunQ19(System(), lineitem, part, GetParam(), /*num_threads=*/4);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NEAR(result->revenue, expected, std::abs(expected) * 1e-9 + 1e-6);
+  EXPECT_GT(result->filtered_rows, 0u);
+  EXPECT_EQ(result->join_matches, result->filtered_rows);  // PK join: 1 match
+  EXPECT_GT(result->result_rows, 0u);
+  EXPECT_GT(result->filter_ns, 0);
+  EXPECT_GT(result->join_ns, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -174,8 +175,9 @@ TEST(Q19, PhaseTimesSumToTotal) {
   for (const Q19Strategy strategy :
        {Q19Strategy::kPipelined, Q19Strategy::kJoinIndex}) {
     const Q19Result result =
-        RunQ19(System(), lineitem, part, join::Algorithm::kCPRL,
-               /*num_threads=*/4, strategy);
+        TryRunQ19(System(), lineitem, part, join::Algorithm::kCPRL,
+                  /*num_threads=*/4, strategy)
+            .value();
     EXPECT_GT(result.filter_ns, 0);
     EXPECT_GT(result.join_ns, 0);
     const int64_t tolerance = result.total_ns / 100 + 1000;  // 1% + 1us
@@ -193,10 +195,14 @@ TEST_P(Q19StrategyTest, JoinIndexStrategyMatchesPipelined) {
   LineitemTable lineitem = GenerateLineitem(System(), options);
   PartTable part = GeneratePart(System(), options);
 
-  const Q19Result pipelined = RunQ19(System(), lineitem, part, GetParam(),
-                                     4, Q19Strategy::kPipelined);
-  const Q19Result indexed = RunQ19(System(), lineitem, part, GetParam(), 4,
-                                   Q19Strategy::kJoinIndex);
+  const Q19Result pipelined =
+      TryRunQ19(System(), lineitem, part, GetParam(), 4,
+                Q19Strategy::kPipelined)
+          .value();
+  const Q19Result indexed =
+      TryRunQ19(System(), lineitem, part, GetParam(), 4,
+                Q19Strategy::kJoinIndex)
+          .value();
   EXPECT_EQ(indexed.join_matches, pipelined.join_matches);
   EXPECT_EQ(indexed.result_rows, pipelined.result_rows);
   EXPECT_NEAR(indexed.revenue, pipelined.revenue,
