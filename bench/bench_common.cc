@@ -95,7 +95,7 @@ void AppendBenchRecord(const char* algorithm, int repeat_index,
     line += ',';
     line += extra_json;
   }
-  if (result.profile.has_value()) AppendPhaseJson(&line, *result.profile);
+  AppendPhaseJson(&line, result.profile);
   line += "}\n";
   std::fwrite(line.data(), 1, line.size(), sinks.json);
 }

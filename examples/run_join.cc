@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
   const bool listen = listen_port >= 0;
   const std::string dump_metrics = cli.GetString("dump-metrics", "");
 
-  // Any observability output requested -> record spans and phase profiles.
+  // Any observability output requested -> record spans and hardware
+  // counters (the phase profile itself is always recorded).
   if (profile || explain || listen || !trace_path.empty() ||
       !metrics_path.empty() || !explain_json.empty()) {
     obs::Enable();
@@ -243,13 +244,7 @@ int main(int argc, char** argv) {
                 counters->TotalRemoteWriteBytes() / 1e6);
   }
 
-  if (profile) {
-    if (result.profile.has_value()) {
-      PrintProfile(*result.profile, result.matches);
-    } else {
-      std::fprintf(stderr, "[profile] no phase profile recorded\n");
-    }
-  }
+  if (profile) PrintProfile(result.profile, result.matches);
   if (explain || !explain_json.empty()) {
     const core::ExplainReport report = core::BuildExplainReport(
         join::NameOf(*algorithm), result, build_size, probe_size, threads,

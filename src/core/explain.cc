@@ -139,27 +139,23 @@ std::string FormatExplainText(const ExplainReport& report) {
                 Ms(times.probe_ns).c_str(), Ms(times.total_ns).c_str(), mtps);
   out += line;
 
-  if (report.result.profile.has_value()) {
-    const obs::PhaseProfile& profile = *report.result.profile;
-    out += "\n  -- phase breakdown (per-thread wall clock) --\n";
-    Rows rows({"phase", "threads", "total ms", "mean ms", "min ms", "max ms",
-               "cycles", "instrs"});
-    for (int p = 0; p < obs::kNumJoinPhases; ++p) {
-      const obs::PhaseStat& stat = profile.phases[p];
-      if (stat.threads == 0) continue;
-      rows.Add({obs::JoinPhaseName(static_cast<obs::JoinPhase>(p)),
-                std::to_string(stat.threads), Ms(stat.total_ns),
-                Ms(stat.MeanNs()), Ms(stat.min_ns), Ms(stat.max_ns),
-                stat.counters.valid ? U64(stat.counters.cycles) : "-",
-                stat.counters.valid ? U64(stat.counters.instructions) : "-"});
-    }
-    rows.Render(&out);
-    out += "  critical path " + Ms(profile.CriticalPathNs()) +
-           "ms (sum of slowest thread per phase) vs wall total " +
-           Ms(times.total_ns) + "ms\n";
-  } else {
-    out += "  (no phase profile: observability was disabled for this run)\n";
+  const obs::PhaseProfile& profile = report.result.profile;
+  out += "\n  -- phase breakdown (per-thread wall clock) --\n";
+  Rows rows({"phase", "threads", "total ms", "mean ms", "min ms", "max ms",
+             "cycles", "instrs"});
+  for (int p = 0; p < obs::kNumJoinPhases; ++p) {
+    const obs::PhaseStat& stat = profile.phases[p];
+    if (stat.threads == 0) continue;
+    rows.Add({obs::JoinPhaseName(static_cast<obs::JoinPhase>(p)),
+              std::to_string(stat.threads), Ms(stat.total_ns),
+              Ms(stat.MeanNs()), Ms(stat.min_ns), Ms(stat.max_ns),
+              stat.counters.valid ? U64(stat.counters.cycles) : "-",
+              stat.counters.valid ? U64(stat.counters.instructions) : "-"});
   }
+  rows.Render(&out);
+  out += "  critical path " + Ms(profile.CriticalPathNs()) +
+         "ms (sum of slowest thread per phase) vs wall total " +
+         Ms(times.total_ns) + "ms\n";
 
   out += "\n  -- NUMA task steals: total=" + U64(report.total_steals) + " --\n";
   if (report.num_nodes > 0 && report.total_steals > 0) {
@@ -204,25 +200,23 @@ std::string ExplainReportJson(const ExplainReport& report) {
          ",\"build_ns\":" + U64(static_cast<uint64_t>(times.build_ns)) +
          ",\"probe_ns\":" + U64(static_cast<uint64_t>(times.probe_ns)) +
          ",\"total_ns\":" + U64(static_cast<uint64_t>(times.total_ns)) + "}";
-  if (report.result.profile.has_value()) {
-    const obs::PhaseProfile& profile = *report.result.profile;
-    out += ",\"phases\":{";
-    bool first = true;
-    for (int p = 0; p < obs::kNumJoinPhases; ++p) {
-      const obs::PhaseStat& stat = profile.phases[p];
-      if (stat.threads == 0) continue;
-      if (!first) out += ',';
-      first = false;
-      out += '"';
-      out += obs::JoinPhaseName(static_cast<obs::JoinPhase>(p));
-      out += "\":{\"threads\":" + std::to_string(stat.threads) +
-             ",\"total_ns\":" + U64(static_cast<uint64_t>(stat.total_ns)) +
-             ",\"min_ns\":" + U64(static_cast<uint64_t>(stat.min_ns)) +
-             ",\"max_ns\":" + U64(static_cast<uint64_t>(stat.max_ns)) + "}";
-    }
-    out += "},\"critical_path_ns\":" +
-           U64(static_cast<uint64_t>(profile.CriticalPathNs()));
+  const obs::PhaseProfile& profile = report.result.profile;
+  out += ",\"phases\":{";
+  bool first = true;
+  for (int p = 0; p < obs::kNumJoinPhases; ++p) {
+    const obs::PhaseStat& stat = profile.phases[p];
+    if (stat.threads == 0) continue;
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += obs::JoinPhaseName(static_cast<obs::JoinPhase>(p));
+    out += "\":{\"threads\":" + std::to_string(stat.threads) +
+           ",\"total_ns\":" + U64(static_cast<uint64_t>(stat.total_ns)) +
+           ",\"min_ns\":" + U64(static_cast<uint64_t>(stat.min_ns)) +
+           ",\"max_ns\":" + U64(static_cast<uint64_t>(stat.max_ns)) + "}";
   }
+  out += "},\"critical_path_ns\":" +
+         U64(static_cast<uint64_t>(profile.CriticalPathNs()));
   out += ",\"steals\":{\"nodes\":" + std::to_string(report.num_nodes) +
          ",\"total\":" + U64(report.total_steals) + ",\"matrix\":[";
   for (size_t i = 0; i < report.steal_matrix.size(); ++i) {
@@ -230,7 +224,7 @@ std::string ExplainReportJson(const ExplainReport& report) {
     out += U64(report.steal_matrix[i]);
   }
   out += "]},\"counters\":{";
-  bool first = true;
+  first = true;
   for (const auto& [name, delta] : report.counters) {
     if (!first) out += ',';
     first = false;

@@ -1,8 +1,9 @@
 // EXPLAIN ANALYZE for a join run: one report joining the whitebox phase
-// profile (JoinResult::profile), the NUMA task-steal matrix, and the
-// metrics-counter deltas of the run (budget ladder, compaction, steals,
-// allocations) into a human-readable table and a `mmjoin.report.v1` JSON
-// object (validated by `scripts/check_metrics.py --kind=report`).
+// profile (JoinResult::profile, recorded on every run; its hardware-counter
+// columns only while observability is enabled), the NUMA task-steal matrix,
+// and the metrics-counter deltas of the run (budget ladder, compaction,
+// steals, allocations) into a human-readable table and a `mmjoin.report.v1`
+// JSON object (validated by `scripts/check_metrics.py --kind=report`).
 //
 // The counter delta is computed from two MetricsRegistry::SnapshotMap()
 // calls bracketing the run, so whatever family a subsystem exports shows up

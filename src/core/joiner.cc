@@ -18,21 +18,7 @@ Status JoinerOptions::Validate() const {
         "num_threads=" + std::to_string(num_threads) + " outside [1, " +
         std::to_string(join::JoinConfig::kMaxThreads) + "]");
   }
-  if (mem_budget_bytes.has_value()) {
-    if (*mem_budget_bytes == 0) {
-      return InvalidArgumentError(
-          "mem_budget_bytes=0: a zero memory budget cannot admit any "
-          "allocation (omit the budget for unbounded)");
-    }
-    if (*mem_budget_bytes < join::JoinConfig::kMinMemBudgetBytes) {
-      return InvalidArgumentError(
-          "mem_budget_bytes=" + std::to_string(*mem_budget_bytes) +
-          " is below the minimum " +
-          std::to_string(join::JoinConfig::kMinMemBudgetBytes) +
-          " (one mmap-class partition buffer)");
-    }
-  }
-  return OkStatus();
+  return join::JoinConfig::ValidateMemBudget(mem_budget_bytes);
 }
 
 Joiner::Joiner(const JoinerOptions& options)

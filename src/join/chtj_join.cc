@@ -19,7 +19,6 @@
 #include "partition/radix.h"
 #include "thread/thread_team.h"
 #include "util/bits.h"
-#include "util/timer.h"
 
 namespace mmjoin::join::internal {
 namespace {
@@ -77,11 +76,9 @@ class ChtJoin final : public JoinAlgorithm {
     std::vector<uint64_t> bucket_of(build.size());
     std::vector<std::vector<Tuple>> overflows(num_threads);
     std::vector<ThreadStats> stats(num_threads);
-    int64_t build_end = 0;
     MatchSink* sink = config.sink;
     JoinAbort abort;
-    auto profiler = obs::MakeJoinProfiler(num_threads);
-    const int64_t start = NowNanos();
+    RunClock clock(num_threads);
 
     const Status dispatch_status = ExecutorOf(config).Dispatch(
         num_threads, [&](const thread::WorkerContext& ctx) {
@@ -91,7 +88,7 @@ class ChtJoin final : public JoinAlgorithm {
 
       // --- Build: partition by hash prefix, then bulk-load regions. ---
       {
-        obs::PhaseScope scope(profiler.get(), tid,
+        obs::PhaseScope scope(clock.profiler(), tid,
                               obs::JoinPhase::kPartitionPass1);
         partitioner.BuildHistogram(tid);
         barrier.ArriveAndWait();
@@ -102,7 +99,7 @@ class ChtJoin final : public JoinAlgorithm {
       }
 
       {
-        obs::PhaseScope scope(profiler.get(), tid, obs::JoinPhase::kBuild);
+        obs::PhaseScope scope(clock.profiler(), tid, obs::JoinPhase::kBuild);
         const partition::PartitionLayout& layout = partitioner.layout();
         for (uint64_t region = tid; region < regions;
              region += static_cast<uint64_t>(num_threads)) {
@@ -145,11 +142,11 @@ class ChtJoin final : public JoinAlgorithm {
       }
       barrier.ArriveAndWait();
       if (abort.IsSet()) return;
-      if (tid == 0) build_end = NowNanos();
+      if (tid == 0) clock.MarkBuildEnd();
 
       // --- Probe (NOP-style). Each CHT lookup needs two dependent random
       // accesses: bitmap group, then dense array.
-      obs::PhaseScope scope(profiler.get(), tid, obs::JoinPhase::kProbe);
+      obs::PhaseScope scope(clock.profiler(), tid, obs::JoinPhase::kProbe);
       const thread::Range s_range =
           thread::ChunkRange(probe.size(), num_threads, tid);
       system->CountRead(node, probe.data() + s_range.begin,
@@ -162,12 +159,8 @@ class ChtJoin final : public JoinAlgorithm {
     MMJOIN_RETURN_IF_ERROR(dispatch_status);
     if (abort.IsSet()) return abort.status();
 
-    const int64_t end = NowNanos();
     JoinResult result = ReduceStats(stats.data(), num_threads);
-    result.times.build_ns = build_end - start;
-    result.times.probe_ns = end - build_end;
-    result.times.total_ns = end - start;
-    if (profiler != nullptr) result.profile = profiler->Finish();
+    clock.Finish(&result);
     return result;
   }
 };

@@ -17,6 +17,7 @@
 #include "mem/budget.h"
 #include "numa/system.h"
 #include "obs/metrics.h"
+#include "obs/phase_profile.h"
 #include "thread/executor.h"
 #include "thread/task_queue.h"
 #include "util/annotations.h"
@@ -24,6 +25,7 @@
 #include "util/macros.h"
 #include "util/mutex.h"
 #include "util/status.h"
+#include "util/timer.h"
 #include "util/types.h"
 
 namespace mmjoin::join::internal {
@@ -255,6 +257,48 @@ inline JoinResult ReduceStats(const ThreadStats* stats, int num_threads) {
   }
   return result;
 }
+
+// The per-run phase clock, the one timer of every join driver. Constructed
+// at the start of the timed region, after working memory is allocated and
+// prefaulted (the paper's buffer-manager assumption, Section 5.1). Workers
+// time their phases with obs::PhaseScope on profiler(); thread 0 marks the
+// wall-clock phase boundaries right after the barrier that closes a phase.
+// Finish() turns the marks into PhaseTimes -- start to the partition mark is
+// partition_ns, from there to the build mark build_ns, the rest probe_ns --
+// so which marks a driver sets is its class's PhaseTimes pattern.
+class RunClock {
+ public:
+  explicit RunClock(int num_threads)
+      : profiler_(num_threads),
+        start_ns_(NowNanos()),
+        partition_end_ns_(start_ns_),
+        build_end_ns_(start_ns_) {}
+
+  obs::JoinPhaseProfiler& profiler() { return profiler_; }
+
+  // Thread 0 only. Ends the partition phase; a join that builds per
+  // co-partition task has no build phase of its own, so build ends too.
+  void MarkPartitionEnd() { partition_end_ns_ = build_end_ns_ = NowNanos(); }
+  // Thread 0 only. Ends the build phase (MWAY: the sort).
+  void MarkBuildEnd() { build_end_ns_ = NowNanos(); }
+
+  // Stops the clock and fills result->times and result->profile. Call after
+  // the dispatch returned.
+  void Finish(JoinResult* result) const {
+    const int64_t end_ns = NowNanos();
+    result->times.partition_ns = partition_end_ns_ - start_ns_;
+    result->times.build_ns = build_end_ns_ - partition_end_ns_;
+    result->times.probe_ns = end_ns - build_end_ns_;
+    result->times.total_ns = end_ns - start_ns_;
+    result->profile = profiler_.Finish();
+  }
+
+ private:
+  obs::JoinPhaseProfiler profiler_;
+  const int64_t start_ns_;
+  int64_t partition_end_ns_;
+  int64_t build_end_ns_;
+};
 
 // Exclusive upper bound of the build key domain: `provided` when nonzero,
 // otherwise max key + 1 (scanned).

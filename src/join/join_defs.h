@@ -60,10 +60,18 @@ const char* NameOf(Algorithm algorithm);
 std::optional<Algorithm> AlgorithmFromName(std::string_view name);
 const std::vector<Algorithm>& AllAlgorithms();
 
-// Per-phase wall-clock breakdown. Partition-based joins report partition +
-// join (build+probe merged into `probe_ns` is *not* done -- build and probe
-// are timed separately where the algorithm distinguishes them; MWAY maps
-// sort to `build_ns` and merge-join to `probe_ns`).
+// Per-phase wall-clock breakdown of one run, measured by thread 0 at the
+// barriers that close each phase. The three phases tile the timed region,
+// so partition_ns + build_ns + probe_ns == total_ns exactly. Per class:
+//  * PR*/CPR*: partition_ns is the radix partitioning (with spill waves, of
+//    R only -- each wave's S partitioning runs inside the join phase);
+//    build and probe run per co-partition task, so build_ns = 0 and
+//    probe_ns covers both.
+//  * NOP/NOPA/CHTJ: partition_ns = 0 (CHTJ's hash-prefix partitioning is
+//    part of its build), then build_ns and probe_ns.
+//  * MWAY: partition_ns, then the sort in build_ns and the merge-join in
+//    probe_ns.
+// JoinResult::profile has the per-thread view of the same run.
 struct PhaseTimes {
   int64_t partition_ns = 0;
   int64_t build_ns = 0;
@@ -78,10 +86,9 @@ struct JoinResult {
   uint64_t matches = 0;
   uint64_t checksum = 0;
   PhaseTimes times;
-  // Whitebox per-phase breakdown (per-thread min/max/mean wall clock plus
-  // hardware-counter deltas). Populated only while observability is enabled
-  // (obs::Enabled()); disabled runs pay nothing and leave this empty.
-  std::optional<obs::PhaseProfile> profile;
+  // Whitebox per-phase breakdown (per-thread min/max/mean wall clock, plus
+  // hardware-counter deltas when observability was enabled).
+  obs::PhaseProfile profile;
 
   // The study's throughput metric: (|R| + |S|) / runtime, in million input
   // tuples per second (paper Section 1, definition from Lang et al.).
@@ -178,6 +185,10 @@ struct JoinConfig {
   // overflow size_t arithmetic, and explicit budgets below one partition
   // buffer. Checked by RunJoin before any allocation.
   Status Validate(uint64_t build_size, uint64_t probe_size) const;
+
+  // The budget part of Validate, shared with core::JoinerOptions: nullopt
+  // (unbounded) passes; zero and anything below kMinMemBudgetBytes do not.
+  static Status ValidateMemBudget(std::optional<uint64_t> mem_budget_bytes);
 
   static constexpr int kMaxThreads = 1024;
   static constexpr uint32_t kMaxRadixBits = 27;

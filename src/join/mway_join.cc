@@ -22,7 +22,6 @@
 #include "sort/multiway_merge.h"
 #include "thread/thread_team.h"
 #include "util/bits.h"
-#include "util/timer.h"
 
 namespace mmjoin::join::internal {
 namespace {
@@ -155,14 +154,11 @@ class MwayJoin final : public JoinAlgorithm {
                             "MWAY S merge scratch"));
 
     std::vector<ThreadStats> stats(num_threads);
-    int64_t partition_end = 0;
-    int64_t sort_end = 0;
     MatchSink* sink = config.sink;
     JoinAbort abort;
-    auto profiler = obs::MakeJoinProfiler(num_threads);
     // Buffers above are allocated + prefaulted untimed (buffer-manager
     // assumption, Section 5.1).
-    const int64_t start = NowNanos();
+    RunClock clock(num_threads);
 
     const Status dispatch_status = ExecutorOf(config).Dispatch(
         num_threads, [&](const thread::WorkerContext& ctx) {
@@ -172,7 +168,7 @@ class MwayJoin final : public JoinAlgorithm {
 
       // --- Partition both relations. ---
       {
-        obs::PhaseScope scope(profiler.get(), tid,
+        obs::PhaseScope scope(clock.profiler(), tid,
                               obs::JoinPhase::kPartitionPass1);
         r_partitioner.BuildHistogram(tid);
         s_partitioner.BuildHistogram(tid);
@@ -186,13 +182,13 @@ class MwayJoin final : public JoinAlgorithm {
         s_partitioner.Scatter(tid, node);
         barrier.ArriveAndWait();
       }
-      if (tid == 0) partition_end = NowNanos();
+      if (tid == 0) clock.MarkPartitionEnd();
 
       // --- Sort co-partitions (one partition per thread slot). ---
       const auto& r_layout = r_partitioner.layout();
       const auto& s_layout = s_partitioner.layout();
       {
-        obs::PhaseScope scope(profiler.get(), tid, obs::JoinPhase::kSort);
+        obs::PhaseScope scope(clock.profiler(), tid, obs::JoinPhase::kSort);
         for (uint32_t p = static_cast<uint32_t>(tid); p < num_partitions;
              p += static_cast<uint32_t>(num_threads)) {
           SortPartition(r_part.data(), r_layout, p, r_packed.data(),
@@ -207,10 +203,10 @@ class MwayJoin final : public JoinAlgorithm {
       }
       barrier.ArriveAndWait();
       if (abort.IsSet()) return;
-      if (tid == 0) sort_end = NowNanos();
+      if (tid == 0) clock.MarkBuildEnd();
 
       // --- Merge-join co-partitions. ---
-      obs::PhaseScope scope(profiler.get(), tid, obs::JoinPhase::kMerge);
+      obs::PhaseScope scope(clock.profiler(), tid, obs::JoinPhase::kMerge);
       ThreadStats* local = &stats[tid];
       for (uint32_t p = static_cast<uint32_t>(tid); p < num_partitions;
            p += static_cast<uint32_t>(num_threads)) {
@@ -238,13 +234,8 @@ class MwayJoin final : public JoinAlgorithm {
     MMJOIN_RETURN_IF_ERROR(dispatch_status);
     if (abort.IsSet()) return abort.status();
 
-    const int64_t end = NowNanos();
     JoinResult result = ReduceStats(stats.data(), num_threads);
-    result.times.partition_ns = partition_end - start;
-    result.times.build_ns = sort_end - partition_end;  // sort phase
-    result.times.probe_ns = end - sort_end;            // merge-join phase
-    result.times.total_ns = end - start;
-    if (profiler != nullptr) result.profile = profiler->Finish();
+    clock.Finish(&result);
     return result;
   }
 

@@ -15,7 +15,6 @@
 #include "numa/system.h"
 #include "partition/model.h"
 #include "thread/thread_team.h"
-#include "util/timer.h"
 
 namespace mmjoin::join::internal {
 namespace {
@@ -87,13 +86,11 @@ class NopFamilyJoin final : public JoinAlgorithm {
     // paper assumes a buffer manager has faulted pages in already
     // (Section 5.1, "Memory Allocation Locality").
     auto table = Ops::Make(system, build, key_domain);
-    const int64_t start = NowNanos();
+    RunClock clock(num_threads);
 
     std::vector<ThreadStats> stats(num_threads);
-    int64_t build_end = 0;
     MatchSink* sink = config.sink;
     JoinAbort abort;
-    auto profiler = obs::MakeJoinProfiler(num_threads);
 
     const Status dispatch_status = ExecutorOf(config).Dispatch(
         num_threads, [&](const thread::WorkerContext& ctx) {
@@ -102,7 +99,8 @@ class NopFamilyJoin final : public JoinAlgorithm {
           const int node = system->topology().NodeOfThread(tid, num_threads);
 
           {
-            obs::PhaseScope scope(profiler.get(), tid, obs::JoinPhase::kBuild);
+            obs::PhaseScope scope(clock.profiler(), tid,
+                                  obs::JoinPhase::kBuild);
             // Build: insert this thread's chunk of R into the global table.
             const thread::Range r_range =
                 thread::ChunkRange(build.size(), num_threads, tid);
@@ -123,9 +121,9 @@ class NopFamilyJoin final : public JoinAlgorithm {
           }
           barrier.ArriveAndWait();
           if (abort.IsSet()) return;
-          if (tid == 0) build_end = NowNanos();
+          if (tid == 0) clock.MarkBuildEnd();
 
-          obs::PhaseScope scope(profiler.get(), tid, obs::JoinPhase::kProbe);
+          obs::PhaseScope scope(clock.profiler(), tid, obs::JoinPhase::kProbe);
           // Probe this thread's chunk of S.
           const thread::Range s_range =
               thread::ChunkRange(probe.size(), num_threads, tid);
@@ -140,12 +138,8 @@ class NopFamilyJoin final : public JoinAlgorithm {
     MMJOIN_RETURN_IF_ERROR(dispatch_status);
     if (abort.IsSet()) return abort.status();
 
-    const int64_t end = NowNanos();
     JoinResult result = ReduceStats(stats.data(), num_threads);
-    result.times.build_ns = build_end - start;
-    result.times.probe_ns = end - build_end;
-    result.times.total_ns = end - start;
-    if (profiler != nullptr) result.profile = profiler->Finish();
+    clock.Finish(&result);
     return result;
   }
 

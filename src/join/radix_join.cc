@@ -40,7 +40,6 @@
 #include "thread/thread_team.h"
 #include "util/bits.h"
 #include "util/log.h"
-#include "util/timer.h"
 
 namespace mmjoin::join::internal {
 namespace {
@@ -293,21 +292,16 @@ class RadixJoinRun {
     thread::Executor& executor = ExecutorOf(config_);
     std::unique_ptr<thread::ShardedTaskQueue> fallback_queue;
     queue_ = SelectJoinQueue(executor, *system_, &fallback_queue);
-    profiler_ = obs::MakeJoinProfiler(num_threads_);
     // Partition buffers were allocated + prefaulted untimed (buffer-manager
     // assumption, Section 5.1).
-    const int64_t start = NowNanos();
+    clock_.emplace(num_threads_);
     MMJOIN_RETURN_IF_ERROR(executor.Dispatch(
         num_threads_,
         [this](const thread::WorkerContext& ctx) { Worker(ctx); }));
     if (abort_.IsSet()) return abort_.status();
 
-    const int64_t end = NowNanos();
     JoinResult result = ReduceStats(stats_.data(), num_threads_);
-    result.times.partition_ns = partition_end_ - start;
-    result.times.probe_ns = end - partition_end_;
-    result.times.total_ns = end - start;
-    if (profiler_ != nullptr) result.profile = profiler_->Finish();
+    clock_->Finish(&result);
     return result;
   }
 
@@ -354,7 +348,7 @@ class RadixJoinRun {
     const int node = system_->topology().NodeOfThread(tid, num_threads_);
 
     {
-      obs::PhaseScope scope(profiler_.get(), tid,
+      obs::PhaseScope scope(clock_->profiler(), tid,
                             obs::JoinPhase::kPartitionPass1);
       if (waves_) {
         // R only; it stays resident across all waves.
@@ -366,7 +360,7 @@ class RadixJoinRun {
     }
     if (plan_.two_pass()) RunPass2(tid, node, barrier);
     if (tid == 0) {
-      partition_end_ = NowNanos();
+      clock_->MarkPartitionEnd();
       r_layout_ = plan_.two_pass() ? &r_final_ : &r_pass1_.Finish();
       if (!waves_) {
         s_layout_ = plan_.two_pass() ? &s_final_ : &s_pass1_.Finish();
@@ -383,7 +377,7 @@ class RadixJoinRun {
         wave_scope.emplace("budget.wave", obs::SpanKind::kOther);
         if (tid == 0) StartWave(w);
         barrier.ArriveAndWait();
-        obs::PhaseScope scope(profiler_.get(), tid,
+        obs::PhaseScope scope(clock_->profiler(), tid,
                               obs::JoinPhase::kPartitionPass1);
         Pass1::Run({&s_pass1_}, plan_.chunked(), tid, node, barrier);
       }
@@ -426,7 +420,7 @@ class RadixJoinRun {
   // ("entire sub-partitions are assigned to worker threads by using a task
   // queue", Section 3.1).
   void RunPass2(int tid, int node, thread::Barrier& barrier) {
-    obs::PhaseScope scope(profiler_.get(), tid,
+    obs::PhaseScope scope(clock_->profiler(), tid,
                           obs::JoinPhase::kPartitionPass2);
     const partition::RadixFn fn2{plan_.pass1_bits,
                                  plan_.radix_bits - plan_.pass1_bits};
@@ -465,7 +459,7 @@ class RadixJoinRun {
     const ChunkedLayout& s_layout = *s_layout_;
     const Tuple* r_data = r_out_.data();
     const Tuple* s_data = s_out_.data();
-    obs::JoinPhaseProfiler* profiler = profiler_.get();
+    obs::JoinPhaseProfiler& profiler = clock_->profiler();
     thread::JoinTask task;
     int stolen_from = -1;
     while (queue_->Pop(node, &task, &stolen_from)) {
@@ -554,10 +548,9 @@ class RadixJoinRun {
   thread::ShardedTaskQueue* queue_ = nullptr;
   SkewBuildSlots slots_;
   JoinAbort abort_;
-  std::unique_ptr<obs::JoinPhaseProfiler> profiler_;
+  std::optional<RunClock> clock_;  // emplaced by Execute
 
   // Written by thread 0 between barriers, read by all workers after them.
-  int64_t partition_end_ = 0;
   const ChunkedLayout* r_layout_ = nullptr;
   const ChunkedLayout* s_layout_ = nullptr;
   uint64_t max_r_partition_ = 0;

@@ -92,18 +92,21 @@ Status JoinConfig::Validate(uint64_t build_size, uint64_t probe_size) const {
         "relation sizes (" + std::to_string(build_size) + ", " +
         std::to_string(probe_size) + ") exceed the supported maximum 2^40");
   }
-  if (mem_budget_bytes.has_value()) {
-    if (*mem_budget_bytes == 0) {
-      return InvalidArgumentError(
-          "mem_budget_bytes=0: a zero memory budget cannot admit any "
-          "allocation (omit the budget for unbounded)");
-    }
-    if (*mem_budget_bytes < kMinMemBudgetBytes) {
-      return InvalidArgumentError(
-          "mem_budget_bytes=" + std::to_string(*mem_budget_bytes) +
-          " is below the minimum " + std::to_string(kMinMemBudgetBytes) +
-          " (one mmap-class partition buffer)");
-    }
+  return ValidateMemBudget(mem_budget_bytes);
+}
+
+Status JoinConfig::ValidateMemBudget(std::optional<uint64_t> mem_budget_bytes) {
+  if (!mem_budget_bytes.has_value()) return OkStatus();
+  if (*mem_budget_bytes == 0) {
+    return InvalidArgumentError(
+        "mem_budget_bytes=0: a zero memory budget cannot admit any "
+        "allocation (omit the budget for unbounded)");
+  }
+  if (*mem_budget_bytes < kMinMemBudgetBytes) {
+    return InvalidArgumentError(
+        "mem_budget_bytes=" + std::to_string(*mem_budget_bytes) +
+        " is below the minimum " + std::to_string(kMinMemBudgetBytes) +
+        " (one mmap-class partition buffer)");
   }
   return OkStatus();
 }

@@ -100,13 +100,6 @@ PhaseProfile JoinPhaseProfiler::Finish() const {
   return profile;
 }
 
-void PhaseScope::Begin(int tid, JoinPhase phase) {
-  tid_ = tid;
-  phase_ = phase;
-  have_counters_ = PerfCounters::ThreadLocal()->Read(&start_sample_);
-  start_ns_ = NowNanos();
-}
-
 void PhaseScope::End() {
   const int64_t end_ns = NowNanos();
   CounterDelta delta;
@@ -116,9 +109,11 @@ void PhaseScope::End() {
       delta = Subtract(end_sample, start_sample_);
     }
   }
-  profiler_->Accumulate(tid_, phase_, end_ns - start_ns_, delta);
-  TraceRecorder::Get().Record(JoinPhaseName(phase_),
-                              JoinPhaseSpanKind(phase_), start_ns_, end_ns);
+  profiler_.Accumulate(tid_, phase_, end_ns - start_ns_, delta);
+  if (observed_) {
+    TraceRecorder::Get().Record(JoinPhaseName(phase_),
+                                JoinPhaseSpanKind(phase_), start_ns_, end_ns);
+  }
 }
 
 }  // namespace mmjoin::obs

@@ -1,22 +1,21 @@
 // Per-phase, per-thread join profiles -- the data behind the paper's
 // whitebox breakdown (Section 5, Figure 3).
 //
-// A JoinPhaseProfiler is created per join run when observability is enabled
-// (obs::Enabled()); each worker thread wraps its phase work in a PhaseScope,
-// which accumulates wall-clock nanoseconds and hardware-counter deltas into
-// a cache-line-padded per-thread slot and emits a trace span. Finish()
-// reduces the slots into a PhaseProfile: per-phase min/max/mean thread time
-// plus summed counter deltas, attached to JoinResult::profile.
+// Every join run owns a JoinPhaseProfiler (through its run clock,
+// join/internal.h); each worker thread wraps its phase work in a PhaseScope,
+// which accumulates wall-clock nanoseconds into a cache-line-padded
+// per-thread slot. Finish() reduces the slots into a PhaseProfile: per-phase
+// min/max/mean thread time plus summed counter deltas, attached to
+// JoinResult::profile.
 //
-// When observability is disabled the profiler is simply not created;
-// PhaseScope on a null profiler is one predicted branch in the constructor
-// and one in the destructor.
+// The wall clock is always on: two clock reads per scope, a few dozen scopes
+// per run. obs::Enabled() gates only what observability adds on top --
+// hardware-counter reads and the trace span per scope.
 
 #ifndef MMJOIN_OBS_PHASE_PROFILE_H_
 #define MMJOIN_OBS_PHASE_PROFILE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/perf_counters.h"
@@ -101,39 +100,34 @@ class JoinPhaseProfiler {
   std::vector<ThreadAccum> accums_;
 };
 
-// RAII phase measurement: wall clock + hardware counters + trace span.
-// `profiler == nullptr` (observability disabled) makes every member function
-// a predicted branch.
+// RAII phase measurement into the calling thread's profiler slot. The wall
+// clock is always taken; hardware counters and the trace span only while
+// observability is enabled at construction.
 class PhaseScope {
  public:
-  PhaseScope(JoinPhaseProfiler* profiler, int tid, JoinPhase phase)
-      : profiler_(profiler) {
-    if (MMJOIN_UNLIKELY(profiler_ != nullptr)) Begin(tid, phase);
+  PhaseScope(JoinPhaseProfiler& profiler, int tid, JoinPhase phase)
+      : profiler_(profiler), tid_(tid), phase_(phase), observed_(Enabled()) {
+    if (MMJOIN_UNLIKELY(observed_)) {
+      have_counters_ = PerfCounters::ThreadLocal()->Read(&start_sample_);
+    }
+    start_ns_ = NowNanos();
   }
-  ~PhaseScope() {
-    if (MMJOIN_UNLIKELY(profiler_ != nullptr)) End();
-  }
+  ~PhaseScope() { End(); }
 
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  void Begin(int tid, JoinPhase phase);
   void End();
 
-  JoinPhaseProfiler* profiler_;
-  int tid_ = 0;
-  JoinPhase phase_ = JoinPhase::kBuild;
+  JoinPhaseProfiler& profiler_;
+  const int tid_;
+  const JoinPhase phase_;
+  const bool observed_;
   int64_t start_ns_ = 0;
   bool have_counters_ = false;
   CounterSample start_sample_;
 };
-
-// Per-run profiler factory: non-null only while observability is enabled.
-inline std::unique_ptr<JoinPhaseProfiler> MakeJoinProfiler(int num_threads) {
-  if (MMJOIN_LIKELY(!Enabled())) return nullptr;
-  return std::make_unique<JoinPhaseProfiler>(num_threads);
-}
 
 }  // namespace mmjoin::obs
 

@@ -71,8 +71,11 @@ class TraceRecorder {
 
   static TraceRecorder& Get();
 
-  // The master observability switch: ObsScope, the join-phase profilers, and
-  // the executor's barrier/idle accounting all key off this flag.
+  // The observability switch. It gates what observability adds on top of
+  // the always-on timing: trace spans (ObsScope, join phases, executor
+  // barrier/idle waits) and the hardware counters of join phase profiles.
+  // Phase wall clocks and the executor's barrier/idle accounting do not
+  // depend on it.
   static bool Enabled() {
     return Get().enabled_.load(std::memory_order_relaxed);
   }

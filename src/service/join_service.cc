@@ -272,7 +272,7 @@ void JoinService::RunJob(int lane_index, Job* job) {
   if (!result.ok()) {
     job->status = result.status();
     obs::MetricsRegistry::Get().AddCounter("service.jobs_failed", 1);
-    MMJOIN_LOG(kInfo, "service.complete")
+    MMJOIN_LOG(kDebug, "service.complete")
         .Field("job", job->id)
         .Field("tenant", job->spec.tenant)
         .Field("lane", lane_index)
@@ -293,7 +293,7 @@ void JoinService::RunJob(int lane_index, Job* job) {
       obs::MetricsRegistry::Get().SnapshotMap(), &steals_before);
   job->status = OkStatus();
   obs::MetricsRegistry::Get().AddCounter("service.jobs_completed", 1);
-  MMJOIN_LOG(kInfo, "service.complete")
+  MMJOIN_LOG(kDebug, "service.complete")
       .Field("job", job->id)
       .Field("tenant", job->spec.tenant)
       .Field("lane", lane_index)

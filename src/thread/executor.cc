@@ -93,21 +93,15 @@ void Executor::WorkerLoop(int thread_id, uint64_t spawn_epoch) {
   uint64_t seen = spawn_epoch;
   for (;;) {
     mutex_.Lock();
-    // Idle accounting: timed only while observability is on, so the default
-    // path costs one predicted branch per epoch.
+    const int64_t idle_start = NowNanos();
+    while (!stop_ && epoch_ == seen) work_cv_.Wait(mutex_);
+    const int64_t idle_end = NowNanos();
+    const auto idle = static_cast<uint64_t>(idle_end - idle_start);
+    idle_ns_.fetch_add(idle, std::memory_order_relaxed);
+    GlobalPoolStats().idle_ns.fetch_add(idle, std::memory_order_relaxed);
     if (MMJOIN_UNLIKELY(obs::Enabled())) {
-      const int64_t idle_start = NowNanos();
-      while (!stop_ && epoch_ == seen) work_cv_.Wait(mutex_);
-      const int64_t idle_end = NowNanos();
-      idle_ns_.fetch_add(static_cast<uint64_t>(idle_end - idle_start),
-                         std::memory_order_relaxed);
-      GlobalPoolStats().idle_ns.fetch_add(
-          static_cast<uint64_t>(idle_end - idle_start),
-          std::memory_order_relaxed);
       obs::TraceRecorder::Get().Record("executor.idle", obs::SpanKind::kIdle,
                                        idle_start, idle_end);
-    } else {
-      while (!stop_ && epoch_ == seen) work_cv_.Wait(mutex_);
     }
     if (stop_) {
       mutex_.Unlock();

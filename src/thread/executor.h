@@ -54,8 +54,9 @@ struct WorkerContext {
 // a steady-state process shows threads_spawned == num_threads while
 // `dispatches` keeps counting. `barrier_wait_ns` (time blocked in the team
 // barrier inside dispatches) and `idle_ns` (time workers slept between
-// epochs) are accumulated only while observability (obs::Enabled()) is on,
-// so the hot path stays untimed by default; see docs/EXECUTION.md.
+// epochs) always accrue: two clock reads per barrier arrival and per epoch.
+// Observability (obs::Enabled()) adds only the matching trace spans; see
+// docs/EXECUTION.md.
 struct ExecutorStats {
   uint64_t threads_spawned = 0;
   uint64_t dispatches = 0;
@@ -177,8 +178,7 @@ class Executor {
   uint64_t threads_spawned_ MMJOIN_GUARDED_BY(mutex_) = 0;
   uint64_t dispatches_ MMJOIN_GUARDED_BY(mutex_) = 0;
   uint64_t max_team_size_ MMJOIN_GUARDED_BY(mutex_) = 0;
-  // Written by workers outside mutex_ (relaxed adds); populated only while
-  // observability is enabled.
+  // Written by workers outside mutex_ (relaxed adds).
   std::atomic<uint64_t> barrier_wait_ns_{0};
   std::atomic<uint64_t> idle_ns_{0};
 };

@@ -21,19 +21,18 @@
 
 namespace mmjoin::thread {
 
-// Summed nanoseconds every Barrier in the process spent blocking threads
-// (populated only while observability is enabled). Feeds the `executor.*`
-// metrics provider; covers executor team barriers and standalone barriers
-// alike.
+// Summed nanoseconds every Barrier in the process spent blocking threads.
+// Feeds the `executor.*` metrics provider; covers executor team barriers and
+// standalone barriers alike.
 std::atomic<uint64_t>& ProcessBarrierWaitNs();
 
 // Reusable cyclic barrier (std::barrier-equivalent; kept self-contained so
 // the whole library builds with partial C++20 standard libraries).
 //
-// When observability is on, each arrival's blocked time is emitted as a
-// `barrier.wait` trace span and accumulated into the optional wait
-// accumulator (the executor points it at its barrier_wait_ns stat); when
-// off, the only extra cost is one predicted branch per arrival.
+// Each arrival's blocked time is always accumulated into the process total
+// and the optional wait accumulator (the executor points it at its
+// barrier_wait_ns stat); while observability is on it is also emitted as a
+// `barrier.wait` trace span.
 class Barrier {
  public:
   explicit Barrier(int parties) : parties_(parties) {
@@ -50,20 +49,18 @@ class Barrier {
   }
 
   void ArriveAndWait() {
+    const int64_t start = NowNanos();
+    ArriveAndWaitImpl();
+    const int64_t end = NowNanos();
+    const auto waited = static_cast<uint64_t>(end - start);
+    if (wait_ns_ != nullptr) {
+      wait_ns_->fetch_add(waited, std::memory_order_relaxed);
+    }
+    ProcessBarrierWaitNs().fetch_add(waited, std::memory_order_relaxed);
     if (MMJOIN_UNLIKELY(obs::Enabled())) {
-      const int64_t start = NowNanos();
-      ArriveAndWaitImpl();
-      const int64_t end = NowNanos();
-      const auto waited = static_cast<uint64_t>(end - start);
-      if (wait_ns_ != nullptr) {
-        wait_ns_->fetch_add(waited, std::memory_order_relaxed);
-      }
-      ProcessBarrierWaitNs().fetch_add(waited, std::memory_order_relaxed);
       obs::TraceRecorder::Get().Record("barrier.wait", obs::SpanKind::kBarrier,
                                        start, end);
-      return;
     }
-    ArriveAndWaitImpl();
   }
 
  private:

@@ -16,21 +16,6 @@ inline int64_t NowNanos() {
       .count();
 }
 
-// Scoped stopwatch: accumulates elapsed nanoseconds into a caller-owned
-// counter on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(int64_t* sink) : sink_(sink), start_(NowNanos()) {}
-  ~ScopedTimer() { *sink_ += NowNanos() - start_; }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  int64_t* sink_;
-  int64_t start_;
-};
-
 // Simple restartable stopwatch.
 class Stopwatch {
  public:

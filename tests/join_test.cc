@@ -17,6 +17,8 @@
 #include "mem/budget.h"
 #include "numa/system.h"
 #include "obs/metrics.h"
+#include "obs/phase_profile.h"
+#include "obs/trace.h"
 #include "partition/model.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -279,6 +281,67 @@ TEST(PhaseTimes, NopReportsBuildAndProbe) {
   EXPECT_GT(result.times.build_ns, 0);
   EXPECT_GT(result.times.probe_ns, 0);
   EXPECT_EQ(result.times.partition_ns, 0);
+}
+
+// Every algorithm's PhaseTimes follow its class's mapping and tile the timed
+// region exactly, and its phase profile is recorded with observability off:
+// wall clock only, no hardware counters and no trace spans.
+TEST(PhaseTimes, EveryAlgorithmFollowsItsClassMapping) {
+  ASSERT_FALSE(obs::Enabled());
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), 50000, 25).value();
+  workload::Relation probe =
+      workload::MakeUniformProbe(System(), 200000, 50000, 26).value();
+  JoinConfig config;
+  config.num_threads = 4;
+  const uint64_t spans_before = obs::TraceRecorder::Get().recorded_spans();
+
+  auto check = [&](Algorithm algorithm, const std::string& what) {
+    const JoinResult result =
+        RunJoin(algorithm, System(), config, build, probe).value();
+    const PhaseTimes& times = result.times;
+    EXPECT_EQ(times.partition_ns + times.build_ns + times.probe_ns,
+              times.total_ns)
+        << what;
+    EXPECT_GT(times.probe_ns, 0) << what;
+    const obs::PhaseProfile& profile = result.profile;
+    EXPECT_FALSE(profile.CountersValid()) << what;
+    auto threads = [&](obs::JoinPhase phase) {
+      return profile.Of(phase).threads;
+    };
+    switch (InfoOf(algorithm).join_class) {
+      case JoinClass::kPartitionBased:
+        EXPECT_GT(times.partition_ns, 0) << what;
+        EXPECT_EQ(times.build_ns, 0) << what;
+        EXPECT_GT(threads(obs::JoinPhase::kPartitionPass1), 0) << what;
+        EXPECT_GT(threads(obs::JoinPhase::kBuild), 0) << what;
+        EXPECT_GT(threads(obs::JoinPhase::kProbe), 0) << what;
+        break;
+      case JoinClass::kNoPartitioning:
+        EXPECT_EQ(times.partition_ns, 0) << what;
+        EXPECT_GT(times.build_ns, 0) << what;
+        EXPECT_EQ(threads(obs::JoinPhase::kBuild), config.num_threads) << what;
+        EXPECT_EQ(threads(obs::JoinPhase::kProbe), config.num_threads) << what;
+        break;
+      case JoinClass::kSortMerge:
+        EXPECT_GT(times.partition_ns, 0) << what;
+        EXPECT_GT(times.build_ns, 0) << what;
+        EXPECT_EQ(threads(obs::JoinPhase::kPartitionPass1), config.num_threads)
+            << what;
+        EXPECT_GT(threads(obs::JoinPhase::kSort), 0) << what;
+        EXPECT_GT(threads(obs::JoinPhase::kMerge), 0) << what;
+        break;
+    }
+  };
+  for (const Algorithm algorithm : AllAlgorithms()) {
+    check(algorithm, NameOf(algorithm));
+  }
+  // Spill waves: partition_ns covers R only, and the mapping still holds.
+  ASSERT_TRUE(failpoint::Configure("budget.wave=once").ok());
+  check(Algorithm::kPRO, "PRO in two spill waves");
+  failpoint::DeactivateAll();
+
+  EXPECT_EQ(obs::TraceRecorder::Get().recorded_spans(), spans_before);
 }
 
 TEST(Throughput, UsesInputBasedDefinition) {

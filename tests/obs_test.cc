@@ -420,7 +420,9 @@ TEST_F(ObsTest, CounterDeltaAccumulationTracksValidity) {
 // PhaseProfile acceptance against PhaseTimes
 // ---------------------------------------------------------------------------
 
-TEST_F(ObsTest, JoinWithoutObservabilityCarriesNoProfile) {
+// Timing is always on: with observability disabled the run still carries
+// its per-thread wall-clock profile, but no counters and no spans.
+TEST_F(ObsTest, JoinWithoutObservabilityProfilesWallClockOnly) {
   numa::NumaSystem system(2);
   auto build = workload::MakeDenseBuild(&system, 1 << 12, /*seed=*/7);
   ASSERT_TRUE(build.ok());
@@ -432,7 +434,12 @@ TEST_F(ObsTest, JoinWithoutObservabilityCarriesNoProfile) {
   auto result = join::RunJoin(join::Algorithm::kNOPA, &system, config, *build,
                               *probe);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->profile.has_value());
+  const obs::PhaseProfile& profile = result->profile;
+  EXPECT_EQ(profile.Of(obs::JoinPhase::kBuild).threads, config.num_threads);
+  EXPECT_EQ(profile.Of(obs::JoinPhase::kProbe).threads, config.num_threads);
+  EXPECT_GT(profile.CriticalPathNs(), 0);
+  EXPECT_FALSE(profile.CountersValid());
+  EXPECT_EQ(obs::TraceRecorder::Get().Snapshot().size(), 0u);
 }
 
 TEST_F(ObsTest, PhaseProfileStaysWithinToleranceOfPhaseTimes) {
@@ -450,8 +457,7 @@ TEST_F(ObsTest, PhaseProfileStaysWithinToleranceOfPhaseTimes) {
   auto result = join::RunJoin(join::Algorithm::kNOPA, &system, config, *build,
                               *probe);
   ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(result->profile.has_value());
-  const obs::PhaseProfile& profile = *result->profile;
+  const obs::PhaseProfile& profile = result->profile;
 
   const obs::PhaseStat& build_stat = profile.Of(obs::JoinPhase::kBuild);
   const obs::PhaseStat& probe_stat = profile.Of(obs::JoinPhase::kProbe);
@@ -498,8 +504,7 @@ TEST_F(ObsTest, PartitionedJoinProfilesPartitionPhases) {
   auto result = join::RunJoin(join::Algorithm::kPRO, &system, config, *build,
                               *probe);
   ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(result->profile.has_value());
-  const obs::PhaseProfile& profile = *result->profile;
+  const obs::PhaseProfile& profile = result->profile;
   EXPECT_GT(profile.Of(obs::JoinPhase::kPartitionPass1).threads, 0);
   EXPECT_GT(profile.Of(obs::JoinPhase::kBuild).threads, 0);
   EXPECT_GT(profile.Of(obs::JoinPhase::kProbe).threads, 0);
@@ -522,6 +527,29 @@ TEST_F(ObsTest, DisabledScopeCostIsNanoseconds) {
   // flakes on a loaded CI host, yet still fails instantly if the disabled
   // path ever starts allocating or recording.
   EXPECT_LT(elapsed / kIters, 250) << "avg ns per disabled ObsScope";
+  EXPECT_EQ(obs::TraceRecorder::Get().Snapshot().size(), 0u);
+}
+
+TEST_F(ObsTest, AlwaysOnPhaseScopeCostIsAFewClockReads) {
+  ASSERT_FALSE(obs::Enabled());
+  constexpr int kIters = 200'000;
+  obs::JoinPhaseProfiler profiler(1);
+  const int64_t start = NowNanos();
+  for (int i = 0; i < kIters; ++i) {
+    obs::PhaseScope scope(profiler, 0, obs::JoinPhase::kProbe);
+  }
+  const int64_t elapsed = NowNanos() - start;
+  // With observability off a phase scope is two clock reads and an add into
+  // the thread's slot -- about 100 ns where a clock read costs 45 ns. A join
+  // opens a few dozen scopes per run, so even the bound, ~10x that, stays
+  // far below a millisecond per run.
+  EXPECT_LT(elapsed / kIters, 1000) << "avg ns per always-on PhaseScope";
+  const obs::PhaseProfile profile = profiler.Finish();
+  const obs::PhaseStat& stat = profile.Of(obs::JoinPhase::kProbe);
+  EXPECT_EQ(stat.threads, 1);
+  EXPECT_GT(stat.total_ns, 0);
+  EXPECT_LE(stat.total_ns, elapsed);
+  EXPECT_FALSE(stat.counters.valid);
   EXPECT_EQ(obs::TraceRecorder::Get().Snapshot().size(), 0u);
 }
 

@@ -539,7 +539,6 @@ TEST_F(TelemetryTest, ExplainReportMatchesPhaseProfileExactly) {
   auto result = join::RunJoin(join::Algorithm::kPRO, &system, config, *build,
                               *probe);
   ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(result->profile.has_value());
 
   const core::ExplainReport report = core::BuildExplainReport(
       "PRO", *result, 1 << 14, 1 << 16, config.num_threads, &system, before,
@@ -559,7 +558,7 @@ TEST_F(TelemetryTest, ExplainReportMatchesPhaseProfileExactly) {
 
   // Identity: every per-phase ns total in the report JSON is the
   // PhaseProfile sum, verbatim.
-  const obs::PhaseProfile& profile = *result->profile;
+  const obs::PhaseProfile& profile = result->profile;
   int phases_checked = 0;
   for (int p = 0; p < obs::kNumJoinPhases; ++p) {
     const obs::PhaseStat& stat = profile.phases[p];

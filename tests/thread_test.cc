@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "numa/system.h"
@@ -152,6 +154,27 @@ TEST(Executor, BarrierSeparatesPhasesAcrossEpochs) {
     }).ok());
     EXPECT_FALSE(violated.load());
   }
+}
+
+// Barrier-wait and idle accounting are always on, not gated by
+// observability (which is off by default, as here).
+TEST(Executor, BarrierWaitAndIdleAccrueWithoutObservability) {
+  Executor executor(2);
+  const ExecutorStats before = executor.stats();
+  constexpr auto kPause = std::chrono::milliseconds(5);
+  constexpr uint64_t kPauseNs = 5'000'000;
+  // Thread 0 waits at the barrier while thread 1 sleeps.
+  ASSERT_TRUE(executor.Dispatch([&](const WorkerContext& ctx) {
+    if (ctx.thread_id == 1) std::this_thread::sleep_for(kPause);
+    ctx.barrier->ArriveAndWait();
+  }).ok());
+  const ExecutorStats after_wait = executor.stats();
+  EXPECT_GE(after_wait.barrier_wait_ns - before.barrier_wait_ns, kPauseNs / 2);
+  // Both workers sit parked between the two dispatches; their idle time is
+  // counted when the second dispatch wakes them.
+  std::this_thread::sleep_for(kPause);
+  ASSERT_TRUE(executor.Dispatch([](const WorkerContext&) {}).ok());
+  EXPECT_GE(executor.stats().idle_ns - after_wait.idle_ns, kPauseNs);
 }
 
 TEST(Executor, NodeAssignmentFollowsTopology) {
