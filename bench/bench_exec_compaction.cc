@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
         spec.algorithm = join::Algorithm::kCPRL;
         spec.build = build.cspan();
         spec.key_domain = domain;
-        spec.radix_bits = radix_bits;
+        spec.config.radix_bits = radix_bits;
         exec::HashJoinProbe join_probe(spec);
         exec::CountAggregate aggregate(
             {exec::kJoinBuildPayloadCol, exec::kJoinProbePayloadCol});

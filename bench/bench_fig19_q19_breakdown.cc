@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < 5; ++s) best.step_ns[s] = INT64_MAX;
     for (int i = 0; i < env.repeat; ++i) {
       const tpch::Q19MorphResult morph =
-          tpch::RunQ19Morph(&system, lineitem, part, threads);
+          tpch::RunQ19Morph(&system, lineitem, part, threads).value();
       for (int s = 0; s < 5; ++s) {
         best.step_ns[s] = std::min(best.step_ns[s], morph.step_ns[s]);
       }

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   top_spec.algorithm = join::Algorithm::kNOP;
   top_spec.build = ConstTupleSpan(j1_tuples.data(), j1_tuples.size());
   top_spec.key_domain = dim;
-  top_spec.build_unique = false;
+  top_spec.config.build_unique = false;
   exec::HashJoinProbe top_join(top_spec);
   exec::CountAggregate agg;
   exec::Pipeline top(&scan, {&filter, &top_join}, &agg);

@@ -14,6 +14,10 @@ warning. The lint half keeps that contract honest:
                      preceding line. Bare `(void)identifier;` (the classic
                      unused-parameter silencer) is exempt -- it discards a
                      value that already exists, not a Status-bearing call.
+  status-check-ok    library code under src/ propagates a failed Status
+                     instead of aborting through MMJOIN_CHECK_OK; the
+                     macro is for harnesses (benches, examples, tests).
+                     Its definition in src/util/status.h is exempt.
 """
 
 import re
@@ -29,6 +33,7 @@ VOID_CALL_RE = re.compile(
 NODISCARD_STATUS_RE = re.compile(r"class\s+\[\[nodiscard\]\]\s+Status\b")
 NODISCARD_STATUSOR_RE = re.compile(
     r"class\s+\[\[nodiscard\]\]\s+StatusOr\b")
+CHECK_OK_RE = re.compile(r"\bMMJOIN_CHECK_OK\s*\(")
 
 
 @register("status-nodiscard", "file",
@@ -65,3 +70,17 @@ def check_status_discard(sf, findings):
             "comment on the same or preceding line; say why dropping the "
             "result is safe",
             this_line))
+
+
+@register("status-check-ok", "file",
+          "no MMJOIN_CHECK_OK under src/ (propagate the Status)")
+def check_status_check_ok(sf, findings):
+    if not sf.path.startswith("src/") or sf.path == "src/util/status.h":
+        return
+    for m in CHECK_OK_RE.finditer(sf.code):
+        lineno = line_of(sf.code, m.start())
+        findings.append(Finding(
+            sf.path, lineno, "status-check-ok",
+            "MMJOIN_CHECK_OK aborts the process on a failed Status; "
+            "library code returns it (MMJOIN_RETURN_IF_ERROR)",
+            sf.line(lineno)))

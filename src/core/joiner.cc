@@ -61,28 +61,6 @@ StatusOr<join::JoinResult> Joiner::Run(join::Algorithm algorithm,
   return join::RunJoin(algorithm, &system_, config, build, probe);
 }
 
-StatusOr<join::JoinResult> Joiner::RunByName(std::string_view name,
-                                             const workload::Relation& build,
-                                             const workload::Relation& probe) {
-  const auto algorithm = join::AlgorithmFromName(name);
-  if (!algorithm.has_value()) {
-    return NotFoundError("unknown join algorithm '" + std::string(name) + "'");
-  }
-  return Run(*algorithm, build, probe);
-}
-
-StatusOr<Joiner::AutoResult> Joiner::RunAuto(const workload::Relation& build,
-                                             const workload::Relation& probe,
-                                             double probe_skew_theta) {
-  const Advice advice = AdviseJoin(
-      WorkloadProfile{build.size(), probe.size(), build.key_domain(),
-                      probe_skew_theta},
-      num_threads_);
-  MMJOIN_ASSIGN_OR_RETURN(join::JoinResult join_result,
-                          Run(advice.algorithm, build, probe));
-  return AutoResult{advice.algorithm, advice.reason, join_result};
-}
-
 StatusOr<std::vector<join::MatchedPair>> Joiner::RunMaterialized(
     join::Algorithm algorithm, const workload::Relation& build,
     const workload::Relation& probe) {

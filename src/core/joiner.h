@@ -1,21 +1,20 @@
 // Joiner: the one-object entry point for applications.
 //
-// Owns a NumaSystem and a persistent thread::Executor, exposes by-name
-// algorithm selection, automatic algorithm choice via the lessons-learned
-// advisor, and materializing variants -- everything a downstream user needs
-// without touching the individual subsystems. Worker threads are created
-// once, in the constructor, with a stable thread->NUMA-node placement; every
-// join the Joiner runs reuses that pool (no per-query thread churn).
+// Owns a NumaSystem and a persistent thread::Executor and runs joins on
+// them, optionally materializing the result -- everything a downstream user
+// needs without touching the individual subsystems. Pick the algorithm by
+// name with join::AlgorithmFromName or by workload with core::AdviseJoin.
+// Worker threads are created once, in the constructor, with a stable
+// thread->NUMA-node placement; every join the Joiner runs reuses that pool
+// (no per-query thread churn).
 
 #ifndef MMJOIN_CORE_JOINER_H_
 #define MMJOIN_CORE_JOINER_H_
 
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
-#include "core/advisor.h"
 #include "join/join_algorithm.h"
 #include "join/materialize.h"
 #include "numa/system.h"
@@ -72,21 +71,6 @@ class Joiner {
                                  const join::JoinConfig& base_config,
                                  const workload::Relation& build,
                                  const workload::Relation& probe);
-  // By name ("CPRL", "NOPA", ...); NotFound for unknown names.
-  StatusOr<join::JoinResult> RunByName(std::string_view name,
-                                       const workload::Relation& build,
-                                       const workload::Relation& probe);
-
-  // Picks the algorithm via the paper's lessons (probe skew unknown -> 0).
-  struct AutoResult {
-    join::Algorithm algorithm;
-    std::string reason;
-    join::JoinResult result;
-  };
-  StatusOr<AutoResult> RunAuto(const workload::Relation& build,
-                               const workload::Relation& probe,
-                               double probe_skew_theta = 0.0);
-
   // Materializing variant: returns the joined <key, build_payload,
   // probe_payload> triples.
   StatusOr<std::vector<join::MatchedPair>> RunMaterialized(

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "mem/budget.h"
 #include "util/macros.h"
 
 namespace mmjoin::exec {
@@ -53,30 +52,16 @@ StatusOr<join::JoinResult> HashJoinProbe::Execute(
     numa::NumaSystem* system, ConstTupleSpan probe, join::MatchSink* sink,
     thread::Executor* executor, int num_threads,
     std::optional<uint64_t> mem_budget_bytes) const {
-  join::JoinConfig config;
+  join::JoinConfig config = spec_.config;
   config.num_threads = num_threads;
-  config.radix_bits = spec_.radix_bits;
-  config.num_passes = spec_.num_passes;
-  config.skew_task_factor = spec_.skew_task_factor;
-  config.build_unique = spec_.build_unique;
-  config.sink = sink;
   config.executor = executor;
-  config.mem_budget_bytes = spec_.mem_budget_bytes.has_value()
-                                ? spec_.mem_budget_bytes
-                                : mem_budget_bytes;
-  MMJOIN_RETURN_IF_ERROR(config.Validate(spec_.build.size(), probe.size()));
-  std::unique_ptr<join::JoinAlgorithm> algorithm =
-      join::CreateJoin(spec_.algorithm);
-  // Run-local tracker, like join::RunJoin: the algorithm charges its planned
-  // working set against it and the tracker dies with this call.
-  if (config.mem_budget_bytes.has_value()) {
-    mem::BudgetTracker tracker(*config.mem_budget_bytes);
-    join::JoinConfig budgeted = config;
-    budgeted.budget = &tracker;
-    return algorithm->Run(system, budgeted, spec_.build, probe,
-                          spec_.key_domain);
+  config.sink = sink;
+  // Pipeline-level default budget: a spec-level budget wins.
+  if (!config.mem_budget_bytes.has_value() && config.budget == nullptr) {
+    config.mem_budget_bytes = mem_budget_bytes;
   }
-  return algorithm->Run(system, config, spec_.build, probe, spec_.key_domain);
+  return join::RunJoin(spec_.algorithm, system, config, spec_.build, probe,
+                       spec_.key_domain);
 }
 
 void CountAggregate::Append(int tid, const DataChunk& chunk) {

@@ -97,14 +97,10 @@ class HashJoinProbe final : public Operator {
     ConstTupleSpan build;
     // Exclusive key-domain bound for the array joins (0 = scan for max).
     uint64_t key_domain = 0;
-    uint32_t radix_bits = 0;   // 0 = Eq (1) prediction
-    uint32_t num_passes = 0;   // 0 = algorithm default
-    uint32_t skew_task_factor = 8;
-    bool build_unique = true;
-    // Per-join memory budget (join::JoinConfig semantics: nullopt =
-    // unbounded). Takes precedence over the pipeline-level budget passed
-    // to Execute.
-    std::optional<uint64_t> mem_budget_bytes;
+    // Join knobs (radix_bits, build_unique, mem_budget_bytes, ...).
+    // Execute overrides num_threads, executor and sink; a budget set here
+    // wins over the pipeline-level budget passed to Execute.
+    join::JoinConfig config;
   };
 
   explicit HashJoinProbe(const Spec& spec) : spec_(spec) {}
@@ -113,8 +109,9 @@ class HashJoinProbe final : public Operator {
   int output_columns() const override { return 3; }
   const Spec& spec() const { return spec_; }
 
-  // Runs the wrapped algorithm with `sink` receiving the match stream.
-  // Called by the Pipeline driver; not reachable through Process.
+  // Runs the wrapped algorithm through join::RunJoin with `sink` receiving
+  // the match stream. Called by the Pipeline driver; not reachable through
+  // Process.
   StatusOr<join::JoinResult> Execute(
       numa::NumaSystem* system, ConstTupleSpan probe, join::MatchSink* sink,
       thread::Executor* executor, int num_threads,

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "join/join_algorithm.h"
 #include "join/join_defs.h"
 #include "mem/budget.h"
 #include "numa/system.h"
@@ -302,7 +301,14 @@ class RunClock {
 
 // Exclusive upper bound of the build key domain: `provided` when nonzero,
 // otherwise max key + 1 (scanned).
-uint64_t InferKeyDomain(ConstTupleSpan build, uint64_t provided);
+inline uint64_t InferKeyDomain(ConstTupleSpan build, uint64_t provided) {
+  if (provided != 0) return provided;
+  uint64_t max_key = 0;
+  for (const Tuple& t : build) {
+    if (t.key > max_key) max_key = t.key;
+  }
+  return max_key + 1;
+}
 
 // Batches matches into a MatchChunk and flushes it to the sink's
 // ConsumeChunk fast path -- one virtual call per up-to-1024 matches instead
@@ -379,12 +385,30 @@ void ProbeRange(const Table& table, const Tuple* probe, uint64_t begin,
   }
 }
 
-// Per-algorithm factories (one translation unit each).
-std::unique_ptr<JoinAlgorithm> MakeNopJoin(bool array_table);
-std::unique_ptr<JoinAlgorithm> MakeChtJoin();
-std::unique_ptr<JoinAlgorithm> MakeMwayJoin();
+// The join drivers RunJoin (registry.cc) dispatches to, one translation
+// unit each. They assume a validated config and leave the run protocol
+// (failpoint gate, run-local budget tracker, join.* metrics) to RunJoin.
+//
+// NOP and NOPA: one driver over the table flavour (nop_join.cc).
+struct NopLinearOps;
+struct NopArrayOps;
+template <typename Ops>
+StatusOr<JoinResult> RunNopJoin(numa::NumaSystem* system,
+                                const JoinConfig& config, ConstTupleSpan build,
+                                ConstTupleSpan probe, uint64_t key_domain);
+StatusOr<JoinResult> RunChtJoin(numa::NumaSystem* system,
+                                const JoinConfig& config, ConstTupleSpan build,
+                                ConstTupleSpan probe);
+StatusOr<JoinResult> RunMwayJoin(numa::NumaSystem* system,
+                                 const JoinConfig& config,
+                                 ConstTupleSpan build, ConstTupleSpan probe,
+                                 uint64_t key_domain);
 // The nine partition-based joins (PR*, CPR*), all in radix_join.cc.
-std::unique_ptr<JoinAlgorithm> MakeRadixJoin(Algorithm variant);
+StatusOr<JoinResult> RunRadixJoin(Algorithm algorithm,
+                                  numa::NumaSystem* system,
+                                  const JoinConfig& config,
+                                  ConstTupleSpan build, ConstTupleSpan probe,
+                                  uint64_t key_domain);
 
 }  // namespace mmjoin::join::internal
 

@@ -11,19 +11,17 @@
 #include "hash/array_table.h"
 #include "hash/linear_probing_table.h"
 #include "join/internal.h"
-#include "join/join_algorithm.h"
 #include "numa/system.h"
 #include "partition/model.h"
 #include "thread/thread_team.h"
 
 namespace mmjoin::join::internal {
-namespace {
 
 // TableOps adapts the two table flavours to one code path. TableBytes is
 // the check-and-reject budget estimate: NOP has one indivisible global
 // table, so there is no graceful degradation -- either the table fits the
 // budget or the join reports ResourceExhausted up front.
-struct LinearOps {
+struct NopLinearOps {
   using Table = hash::LinearProbingTable<hash::IdentityHash>;
   static std::unique_ptr<Table> Make(numa::NumaSystem* system,
                                      ConstTupleSpan build,
@@ -38,7 +36,7 @@ struct LinearOps {
   }
 };
 
-struct ArrayOps {
+struct NopArrayOps {
   using Table = hash::ArrayTable;
   static std::unique_ptr<Table> Make(numa::NumaSystem* system,
                                      ConstTupleSpan build,
@@ -56,104 +54,92 @@ struct ArrayOps {
 };
 
 template <typename Ops>
-class NopFamilyJoin final : public JoinAlgorithm {
- public:
-  explicit NopFamilyJoin(Algorithm id) : id_(id) {}
+StatusOr<JoinResult> RunNopJoin(numa::NumaSystem* system,
+                                const JoinConfig& config, ConstTupleSpan build,
+                                ConstTupleSpan probe, uint64_t key_domain) {
+  const int num_threads = config.num_threads;
 
-  Algorithm id() const override { return id_; }
+  // NOP has no partition phase; the partition failpoint covers its
+  // (degenerate) working-memory setup so `alloc.partition` fails every
+  // algorithm uniformly.
+  if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
+  if (BuildAllocFailpoint()) return InjectedAllocError("build");
 
-  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
-                           ConstTupleSpan build, ConstTupleSpan probe,
-                           uint64_t key_domain) override {
-    const int num_threads = config.num_threads;
+  // Check-and-reject budget path: reserve the global table's estimated
+  // footprint for the duration of the run (released when `budget_hold`
+  // leaves scope with the table).
+  MMJOIN_ASSIGN_OR_RETURN(
+      mem::BudgetReservation budget_hold,
+      mem::BudgetReservation::Acquire(config.budget,
+                                      Ops::TableBytes(build, key_domain),
+                                      "NOP global hash table"));
 
-    // NOP has no partition phase; the partition failpoint covers its
-    // (degenerate) working-memory setup so `alloc.partition` fails every
-    // algorithm uniformly.
-    if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
-    if (BuildAllocFailpoint()) return InjectedAllocError("build");
+  // Working memory is allocated and prefaulted before timing starts: the
+  // paper assumes a buffer manager has faulted pages in already
+  // (Section 5.1, "Memory Allocation Locality").
+  auto table = Ops::Make(system, build, key_domain);
+  RunClock clock(num_threads);
 
-    // Check-and-reject budget path: reserve the global table's estimated
-    // footprint for the duration of the run (released when `budget_hold`
-    // leaves scope with the table).
-    MMJOIN_ASSIGN_OR_RETURN(
-        mem::BudgetReservation budget_hold,
-        mem::BudgetReservation::Acquire(config.budget,
-                                        Ops::TableBytes(build, key_domain),
-                                        "NOP global hash table"));
+  std::vector<ThreadStats> stats(num_threads);
+  MatchSink* sink = config.sink;
+  JoinAbort abort;
 
-    // Working memory is allocated and prefaulted before timing starts: the
-    // paper assumes a buffer manager has faulted pages in already
-    // (Section 5.1, "Memory Allocation Locality").
-    auto table = Ops::Make(system, build, key_domain);
-    RunClock clock(num_threads);
+  const Status dispatch_status = ExecutorOf(config).Dispatch(
+      num_threads, [&](const thread::WorkerContext& ctx) {
+        const int tid = ctx.thread_id;
+        thread::Barrier& barrier = *ctx.barrier;
+        const int node = system->topology().NodeOfThread(tid, num_threads);
 
-    std::vector<ThreadStats> stats(num_threads);
-    MatchSink* sink = config.sink;
-    JoinAbort abort;
-
-    const Status dispatch_status = ExecutorOf(config).Dispatch(
-        num_threads, [&](const thread::WorkerContext& ctx) {
-          const int tid = ctx.thread_id;
-          thread::Barrier& barrier = *ctx.barrier;
-          const int node = system->topology().NodeOfThread(tid, num_threads);
-
-          {
-            obs::PhaseScope scope(clock.profiler(), tid,
-                                  obs::JoinPhase::kBuild);
-            // Build: insert this thread's chunk of R into the global table.
-            const thread::Range r_range =
-                thread::ChunkRange(build.size(), num_threads, tid);
-            system->CountRead(node, build.data() + r_range.begin,
-                              r_range.size() * sizeof(Tuple));
-            for (std::size_t i = r_range.begin; i < r_range.end; ++i) {
-              table->InsertConcurrent(build[i]);
-            }
-            // Random writes into the interleaved table: one line per insert.
-            system->CountWrite(node, table->raw_data(),
-                               r_range.size() * kCacheLineSize);
+        {
+          obs::PhaseScope scope(clock.profiler(), tid,
+                                obs::JoinPhase::kBuild);
+          // Build: insert this thread's chunk of R into the global table.
+          const thread::Range r_range =
+              thread::ChunkRange(build.size(), num_threads, tid);
+          system->CountRead(node, build.data() + r_range.begin,
+                            r_range.size() * sizeof(Tuple));
+          for (std::size_t i = r_range.begin; i < r_range.end; ++i) {
+            table->InsertConcurrent(build[i]);
           }
+          // Random writes into the interleaved table: one line per insert.
+          system->CountWrite(node, table->raw_data(),
+                             r_range.size() * kCacheLineSize);
+        }
 
-          // Probe-phase scratch would be acquired here; check the failpoint
-          // before the barrier (everyone must arrive), unwind after it.
-          if (tid == 0 && ProbeAllocFailpoint()) {
-            abort.Set(InjectedAllocError("probe"));
-          }
-          barrier.ArriveAndWait();
-          if (abort.IsSet()) return;
-          if (tid == 0) clock.MarkBuildEnd();
+        // Probe-phase scratch would be acquired here; check the failpoint
+        // before the barrier (everyone must arrive), unwind after it.
+        if (tid == 0 && ProbeAllocFailpoint()) {
+          abort.Set(InjectedAllocError("probe"));
+        }
+        barrier.ArriveAndWait();
+        if (abort.IsSet()) return;
+        if (tid == 0) clock.MarkBuildEnd();
 
-          obs::PhaseScope scope(clock.profiler(), tid, obs::JoinPhase::kProbe);
-          // Probe this thread's chunk of S.
-          const thread::Range s_range =
-              thread::ChunkRange(probe.size(), num_threads, tid);
-          system->CountRead(node, probe.data() + s_range.begin,
-                            s_range.size() * sizeof(Tuple));
-          ProbeRange(*table, probe.data(), s_range.begin, s_range.end,
-                     config.build_unique, sink, tid, &stats[tid]);
-          // Random reads from the interleaved table: one line per probe.
-          system->CountRead(node, table->raw_data(),
-                            s_range.size() * kCacheLineSize);
-        });
-    MMJOIN_RETURN_IF_ERROR(dispatch_status);
-    if (abort.IsSet()) return abort.status();
+        obs::PhaseScope scope(clock.profiler(), tid, obs::JoinPhase::kProbe);
+        // Probe this thread's chunk of S.
+        const thread::Range s_range =
+            thread::ChunkRange(probe.size(), num_threads, tid);
+        system->CountRead(node, probe.data() + s_range.begin,
+                          s_range.size() * sizeof(Tuple));
+        ProbeRange(*table, probe.data(), s_range.begin, s_range.end,
+                   config.build_unique, sink, tid, &stats[tid]);
+        // Random reads from the interleaved table: one line per probe.
+        system->CountRead(node, table->raw_data(),
+                          s_range.size() * kCacheLineSize);
+      });
+  MMJOIN_RETURN_IF_ERROR(dispatch_status);
+  if (abort.IsSet()) return abort.status();
 
-    JoinResult result = ReduceStats(stats.data(), num_threads);
-    clock.Finish(&result);
-    return result;
-  }
-
- private:
-  Algorithm id_;
-};
-
-}  // namespace
-
-std::unique_ptr<JoinAlgorithm> MakeNopJoin(bool array_table) {
-  if (array_table) {
-    return std::make_unique<NopFamilyJoin<ArrayOps>>(Algorithm::kNOPA);
-  }
-  return std::make_unique<NopFamilyJoin<LinearOps>>(Algorithm::kNOP);
+  JoinResult result = ReduceStats(stats.data(), num_threads);
+  clock.Finish(&result);
+  return result;
 }
+
+template StatusOr<JoinResult> RunNopJoin<NopLinearOps>(
+    numa::NumaSystem*, const JoinConfig&, ConstTupleSpan, ConstTupleSpan,
+    uint64_t);
+template StatusOr<JoinResult> RunNopJoin<NopArrayOps>(
+    numa::NumaSystem*, const JoinConfig&, ConstTupleSpan, ConstTupleSpan,
+    uint64_t);
 
 }  // namespace mmjoin::join::internal

@@ -28,7 +28,6 @@
 #include "hash/chained_table.h"
 #include "hash/linear_probing_table.h"
 #include "join/internal.h"
-#include "join/join_algorithm.h"
 #include "join/radix_plan.h"
 #include "numa/system.h"
 #include "obs/metrics.h"
@@ -557,88 +556,76 @@ class RadixJoinRun {
   uint64_t wave_size_;  // probe tuples in the current wave; thread 0 only
 };
 
-class RadixJoin final : public JoinAlgorithm {
- public:
-  explicit RadixJoin(Algorithm id) : id_(id) {}
-
-  Algorithm id() const override { return id_; }
-
-  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
-                           ConstTupleSpan build, ConstTupleSpan probe,
-                           uint64_t key_domain) override {
-    const uint64_t domain = InfoOf(id_).requires_dense_keys
-                                ? InferKeyDomain(build, key_domain)
-                                : key_domain;
-    const RadixJoinPlan plan = PlanRadixJoin(
-        id_, config, build.size(), probe.size(), domain, HostCacheSpec());
-
-    // Report the budget decisions (docs/ROBUSTNESS.md "Memory budgets") and
-    // reserve the planned working set for the whole run, so concurrent
-    // budgeted joins on a shared tracker are admitted against each other.
-    const char* name = NameOf(id_);
-    if (plan.budget_dropped_pass2) {
-      mem::CountBudgetReplan();
-      MMJOIN_LOG(kWarn, "budget.replan")
-          .Field("algo", name)
-          .Field("action", "drop_pass2")
-          .Field("budget_bytes", plan.budget_bytes);
-    }
-    if (!plan.feasible) {
-      return BudgetInfeasibleError(name, plan.planned_bytes,
-                                   plan.budget_bytes);
-    }
-    if (plan.bits_replanned) {
-      mem::CountBudgetReplan();
-      MMJOIN_LOG(kWarn, "budget.replan")
-          .Field("algo", name)
-          .Field("action", "radix_bits")
-          .Field("bits", plan.radix_bits)
-          .Field("planned_bytes", plan.planned_bytes)
-          .Field("budget_bytes", plan.budget_bytes);
-    }
-    mem::BudgetReservation reservation;
-    if (plan.budgeted) {
-      MMJOIN_ASSIGN_OR_RETURN(
-          reservation,
-          mem::BudgetReservation::Acquire(
-              config.budget, plan.planned_bytes,
-              plan.chunked() ? "CPR join working set" : "PR join working set"));
-    }
-    if (plan.wave_dropped_pass2) mem::CountBudgetReplan();
-    if (plan.wave_count > 1) {
-      mem::CountBudgetWave();
-      MMJOIN_LOG(kWarn, "budget.wave")
-          .Field("algo", name)
-          .Field("waves", plan.wave_count)
-          .Field("bits", plan.radix_bits);
-    }
-
-    switch (plan.table) {
-      case RadixTable::kChained:
-        return RadixJoinRun<hash::ChainedHashTable<hash::RadixShiftHash>>(
-                   system, config, plan, build, probe)
-            .Execute();
-      case RadixTable::kLinear:
-        return RadixJoinRun<hash::LinearProbingTable<hash::RadixShiftHash>>(
-                   system, config, plan, build, probe)
-            .Execute();
-      case RadixTable::kArray:
-        return RadixJoinRun<hash::ArrayTable>(system, config, plan, build,
-                                              probe)
-            .Execute();
-    }
-    MMJOIN_CHECK(false && "unknown radix table");
-    return JoinResult{};
-  }
-
- private:
-  Algorithm id_;
-};
-
 }  // namespace
 
-std::unique_ptr<JoinAlgorithm> MakeRadixJoin(Algorithm variant) {
-  return std::make_unique<RadixJoin>(variant);
+StatusOr<JoinResult> RunRadixJoin(Algorithm algorithm,
+                                  numa::NumaSystem* system,
+                                  const JoinConfig& config,
+                                  ConstTupleSpan build, ConstTupleSpan probe,
+                                  uint64_t key_domain) {
+  const uint64_t domain = InfoOf(algorithm).requires_dense_keys
+                              ? InferKeyDomain(build, key_domain)
+                              : key_domain;
+  const RadixJoinPlan plan = PlanRadixJoin(
+      algorithm, config, build.size(), probe.size(), domain, HostCacheSpec());
+
+  // Report the budget decisions (docs/ROBUSTNESS.md "Memory budgets") and
+  // reserve the planned working set for the whole run, so concurrent
+  // budgeted joins on a shared tracker are admitted against each other.
+  const char* name = NameOf(algorithm);
+  if (plan.budget_dropped_pass2) {
+    mem::CountBudgetReplan();
+    MMJOIN_LOG(kWarn, "budget.replan")
+        .Field("algo", name)
+        .Field("action", "drop_pass2")
+        .Field("budget_bytes", plan.budget_bytes);
+  }
+  if (!plan.feasible) {
+    return BudgetInfeasibleError(name, plan.planned_bytes,
+                                 plan.budget_bytes);
+  }
+  if (plan.bits_replanned) {
+    mem::CountBudgetReplan();
+    MMJOIN_LOG(kWarn, "budget.replan")
+        .Field("algo", name)
+        .Field("action", "radix_bits")
+        .Field("bits", plan.radix_bits)
+        .Field("planned_bytes", plan.planned_bytes)
+        .Field("budget_bytes", plan.budget_bytes);
+  }
+  mem::BudgetReservation reservation;
+  if (plan.budgeted) {
+    MMJOIN_ASSIGN_OR_RETURN(
+        reservation,
+        mem::BudgetReservation::Acquire(
+            config.budget, plan.planned_bytes,
+            plan.chunked() ? "CPR join working set" : "PR join working set"));
+  }
+  if (plan.wave_dropped_pass2) mem::CountBudgetReplan();
+  if (plan.wave_count > 1) {
+    mem::CountBudgetWave();
+    MMJOIN_LOG(kWarn, "budget.wave")
+        .Field("algo", name)
+        .Field("waves", plan.wave_count)
+        .Field("bits", plan.radix_bits);
+  }
+
+  switch (plan.table) {
+    case RadixTable::kChained:
+      return RadixJoinRun<hash::ChainedHashTable<hash::RadixShiftHash>>(
+                 system, config, plan, build, probe)
+          .Execute();
+    case RadixTable::kLinear:
+      return RadixJoinRun<hash::LinearProbingTable<hash::RadixShiftHash>>(
+                 system, config, plan, build, probe)
+          .Execute();
+    case RadixTable::kArray:
+      return RadixJoinRun<hash::ArrayTable>(system, config, plan, build,
+                                            probe)
+          .Execute();
+  }
+  MMJOIN_CHECK(false && "unknown radix table");
+  return JoinResult{};
 }
 
 }  // namespace mmjoin::join::internal

@@ -1,6 +1,7 @@
-#include <memory>
+#include <optional>
 #include <string>
 
+#include "join/internal.h"
 #include "join/join_algorithm.h"
 #include "join/join_defs.h"
 #include "mem/budget.h"
@@ -112,32 +113,52 @@ Status JoinConfig::ValidateMemBudget(std::optional<uint64_t> mem_budget_bytes) {
 }
 
 StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
-                             const JoinConfig& config,
-                             const workload::Relation& build,
-                             const workload::Relation& probe) {
+                             const JoinConfig& config, ConstTupleSpan build,
+                             ConstTupleSpan probe, uint64_t key_domain) {
   MMJOIN_RETURN_IF_ERROR(config.Validate(build.size(), probe.size()));
-  obs::MetricsRegistry::Get().AddCounter("join.runs", 1);
   if (config.sink != nullptr && MMJOIN_FAILPOINT("alloc.materialize")) {
     return ResourceExhaustedError(
         "injected allocation failure in materialize phase "
         "(failpoint alloc.materialize)");
   }
-  const std::unique_ptr<JoinAlgorithm> join = CreateJoin(algorithm);
+  // Run-local budget: lives exactly as long as this join's buffers.
+  std::optional<mem::BudgetTracker> tracker;
+  JoinConfig run_config = config;
+  if (config.budget == nullptr && config.mem_budget_bytes.has_value()) {
+    tracker.emplace(*config.mem_budget_bytes);
+    run_config.budget = &*tracker;
+  }
   StatusOr<JoinResult> result = [&]() -> StatusOr<JoinResult> {
-    if (config.budget == nullptr && config.mem_budget_bytes.has_value()) {
-      // Run-local budget: lives exactly as long as this join's buffers.
-      mem::BudgetTracker tracker(*config.mem_budget_bytes);
-      JoinConfig budgeted = config;
-      budgeted.budget = &tracker;
-      return join->Run(system, budgeted, build.cspan(), probe.cspan(),
-                       build.key_domain());
+    switch (algorithm) {
+      case Algorithm::kNOP:
+        return internal::RunNopJoin<internal::NopLinearOps>(
+            system, run_config, build, probe, key_domain);
+      case Algorithm::kNOPA:
+        return internal::RunNopJoin<internal::NopArrayOps>(
+            system, run_config, build, probe, key_domain);
+      case Algorithm::kCHTJ:
+        return internal::RunChtJoin(system, run_config, build, probe);
+      case Algorithm::kMWAY:
+        return internal::RunMwayJoin(system, run_config, build, probe,
+                                     key_domain);
+      case Algorithm::kPRB:
+      case Algorithm::kPRO:
+      case Algorithm::kPRL:
+      case Algorithm::kPRA:
+      case Algorithm::kPROiS:
+      case Algorithm::kPRLiS:
+      case Algorithm::kPRAiS:
+      case Algorithm::kCPRL:
+      case Algorithm::kCPRA:
+        return internal::RunRadixJoin(algorithm, system, run_config, build,
+                                      probe, key_domain);
     }
-    return join->Run(system, config, build.cspan(), probe.cspan(),
-                     build.key_domain());
+    MMJOIN_CHECK(false && "unknown algorithm");
+    return JoinResult{};
   }();
   if (result.ok()) {
-    // End-to-end latency distribution; one sample per successful run, so
-    // recording unconditionally costs the same as the join.runs counter.
+    // One count and one end-to-end latency sample per successful run.
+    obs::MetricsRegistry::Get().AddCounter("join.runs", 1);
     static obs::Histogram* const latency =
         obs::MetricsRegistry::Get().GetHistogram("join.latency_ns");
     latency->Record(static_cast<uint64_t>(result->times.total_ns));

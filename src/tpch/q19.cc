@@ -8,7 +8,6 @@
 #include "exec/operators.h"
 #include "exec/pipeline.h"
 #include "hash/linear_probing_table.h"
-#include "join/join_algorithm.h"
 #include "join/materialize.h"
 #include "thread/executor.h"
 #include "util/timer.h"
@@ -135,21 +134,23 @@ class RevenueAggregate final : public exec::Sink {
 // precomputed offsets) so the output is dense and deterministic. Used by
 // the Appendix G morphing study (RunQ19Morph); TryRunQ19 itself goes through
 // the exec:: pipeline.
-numa::NumaBuffer<Tuple> FilterProbe(numa::NumaSystem* system,
-                                    const LineitemTable& lineitem,
-                                    thread::Executor& executor,
-                                    int num_threads, uint64_t* out_count) {
+StatusOr<numa::NumaBuffer<Tuple>> FilterProbe(numa::NumaSystem* system,
+                                              const LineitemTable& lineitem,
+                                              thread::Executor& executor,
+                                              int num_threads,
+                                              uint64_t* out_count) {
   const uint64_t rows = lineitem.num_tuples();
   std::vector<uint64_t> counts(num_threads, 0);
-  MMJOIN_CHECK_OK(executor.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
-    const thread::Range range =
-        thread::ChunkRange(rows, ctx.num_threads, ctx.thread_id);
-    uint64_t count = 0;
-    for (uint64_t i = range.begin; i < range.end; ++i) {
-      count += PreJoin(lineitem, i) ? 1 : 0;
-    }
-    counts[ctx.thread_id] = count;
-  }));
+  MMJOIN_RETURN_IF_ERROR(
+      executor.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
+        const thread::Range range =
+            thread::ChunkRange(rows, ctx.num_threads, ctx.thread_id);
+        uint64_t count = 0;
+        for (uint64_t i = range.begin; i < range.end; ++i) {
+          count += PreJoin(lineitem, i) ? 1 : 0;
+        }
+        counts[ctx.thread_id] = count;
+      }));
 
   uint64_t total = 0;
   std::vector<uint64_t> offsets(num_threads);
@@ -161,15 +162,16 @@ numa::NumaBuffer<Tuple> FilterProbe(numa::NumaSystem* system,
 
   numa::NumaBuffer<Tuple> probe(system, std::max<uint64_t>(total, 1),
                                 numa::Placement::kChunkedRoundRobin);
-  MMJOIN_CHECK_OK(executor.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
-    const thread::Range range =
-        thread::ChunkRange(rows, ctx.num_threads, ctx.thread_id);
-    uint64_t cursor = offsets[ctx.thread_id];
-    const Tuple* partkey = lineitem.l_partkey();
-    for (uint64_t i = range.begin; i < range.end; ++i) {
-      if (PreJoin(lineitem, i)) probe[cursor++] = partkey[i];
-    }
-  }));
+  MMJOIN_RETURN_IF_ERROR(
+      executor.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
+        const thread::Range range =
+            thread::ChunkRange(rows, ctx.num_threads, ctx.thread_id);
+        uint64_t cursor = offsets[ctx.thread_id];
+        const Tuple* partkey = lineitem.l_partkey();
+        for (uint64_t i = range.begin; i < range.end; ++i) {
+          if (PreJoin(lineitem, i)) probe[cursor++] = partkey[i];
+        }
+      }));
   return probe;
 }
 
@@ -180,7 +182,6 @@ StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
                               const PartTable& part, join::Algorithm algorithm,
                               int num_threads, Q19Strategy strategy,
                               thread::Executor* executor,
-                              double compaction_threshold,
                               std::optional<uint64_t> mem_budget_bytes) {
   Q19Result result;
   const int64_t start = NowNanos();
@@ -188,7 +189,6 @@ StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
   exec::PipelineConfig config;
   config.num_threads = num_threads;
   config.executor = executor;
-  config.compaction_threshold = compaction_threshold;
   config.mem_budget_bytes = mem_budget_bytes;
 
   exec::TupleScan scan(
@@ -238,10 +238,10 @@ StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
   return result;
 }
 
-Q19MorphResult RunQ19Morph(numa::NumaSystem* system,
-                           const LineitemTable& lineitem,
-                           const PartTable& part, int num_threads,
-                           thread::Executor* executor) {
+StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
+                                     const LineitemTable& lineitem,
+                                     const PartTable& part, int num_threads,
+                                     thread::Executor* executor) {
   thread::Executor& exec =
       executor != nullptr ? *executor : thread::GlobalExecutor();
   Q19MorphResult result;
@@ -251,55 +251,56 @@ Q19MorphResult RunQ19Morph(numa::NumaSystem* system,
   const Tuple* l_partkey = lineitem.l_partkey();
 
   uint64_t filtered = 0;
-  numa::NumaBuffer<Tuple> prefiltered =
-      FilterProbe(system, lineitem, exec, num_threads, &filtered);
+  MMJOIN_ASSIGN_OR_RETURN(
+      numa::NumaBuffer<Tuple> prefiltered,
+      FilterProbe(system, lineitem, exec, num_threads, &filtered));
 
-  auto build_table = [&]() {
-    auto table = std::make_unique<Table>(
-        system, p_rows, numa::Placement::kInterleavedPages);
-    MMJOIN_CHECK_OK(exec.ParallelFor(num_threads, p_rows, [&](std::size_t begin,
-                                              std::size_t end,
-                                              const thread::WorkerContext&) {
-      const Tuple* keys = part.p_partkey();
-      for (uint64_t i = begin; i < end; ++i) {
-        table->InsertConcurrent(keys[i]);
-      }
-    }));
+  auto build_table = [&]() -> StatusOr<std::unique_ptr<Table>> {
+    auto table = std::make_unique<Table>(system, p_rows,
+                                         numa::Placement::kInterleavedPages);
+    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+        num_threads, p_rows,
+        [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
+          const Tuple* keys = part.p_partkey();
+          for (uint64_t i = begin; i < end; ++i) {
+            table->InsertConcurrent(keys[i]);
+          }
+        }));
     return table;
   };
 
   // Step 1: naked join on pre-filtered pre-materialized input.
   {
     Stopwatch watch;
-    auto table = build_table();
+    MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::atomic<uint64_t> matches{0};
-    MMJOIN_CHECK_OK(exec.ParallelFor(num_threads, filtered, [&](std::size_t begin,
-                                                std::size_t end,
-                                                const thread::WorkerContext&) {
-      uint64_t local = 0;
-      for (uint64_t i = begin; i < end; ++i) {
-        table->ProbeUnique(prefiltered[i].key, [&](Tuple) { ++local; });
-      }
-      matches.fetch_add(local, std::memory_order_relaxed);
-    }));
+    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+        num_threads, filtered,
+        [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
+          uint64_t local = 0;
+          for (uint64_t i = begin; i < end; ++i) {
+            table->ProbeUnique(prefiltered[i].key, [&](Tuple) { ++local; });
+          }
+          matches.fetch_add(local, std::memory_order_relaxed);
+        }));
     result.step_ns[0] = watch.ElapsedNanos();
   }
 
   // Step 2: filter the input table dynamically during the probe.
   {
     Stopwatch watch;
-    auto table = build_table();
+    MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::atomic<uint64_t> matches{0};
-    MMJOIN_CHECK_OK(exec.ParallelFor(num_threads, l_rows, [&](std::size_t begin,
-                                              std::size_t end,
-                                              const thread::WorkerContext&) {
-      uint64_t local = 0;
-      for (uint64_t i = begin; i < end; ++i) {
-        if (!PreJoin(lineitem, i)) continue;
-        table->ProbeUnique(l_partkey[i].key, [&](Tuple) { ++local; });
-      }
-      matches.fetch_add(local, std::memory_order_relaxed);
-    }));
+    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+        num_threads, l_rows,
+        [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
+          uint64_t local = 0;
+          for (uint64_t i = begin; i < end; ++i) {
+            if (!PreJoin(lineitem, i)) continue;
+            table->ProbeUnique(l_partkey[i].key, [&](Tuple) { ++local; });
+          }
+          matches.fetch_add(local, std::memory_order_relaxed);
+        }));
     result.step_ns[1] = watch.ElapsedNanos();
   }
 
@@ -307,36 +308,37 @@ Q19MorphResult RunQ19Morph(numa::NumaSystem* system,
   // aggregate from the index.
   {
     Stopwatch watch;
-    auto table = build_table();
+    MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::vector<std::vector<Tuple>> index(num_threads);  // <rowP, rowL>
-    MMJOIN_CHECK_OK(exec.ParallelFor(num_threads, l_rows, [&](std::size_t begin,
-                                              std::size_t end,
-                                              const thread::WorkerContext&
-                                                  ctx) {
-      std::vector<Tuple>& local = index[ctx.thread_id];
-      for (uint64_t i = begin; i < end; ++i) {
-        if (!PreJoin(lineitem, i)) continue;
-        const auto row_l = static_cast<uint32_t>(i);
-        table->ProbeUnique(l_partkey[i].key, [&](Tuple r) {
-          local.push_back(Tuple{r.payload, row_l});
-        });
-      }
-    }));
+    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+        num_threads, l_rows,
+        [&](std::size_t begin, std::size_t end,
+            const thread::WorkerContext& ctx) {
+          std::vector<Tuple>& local = index[ctx.thread_id];
+          for (uint64_t i = begin; i < end; ++i) {
+            if (!PreJoin(lineitem, i)) continue;
+            const auto row_l = static_cast<uint32_t>(i);
+            table->ProbeUnique(l_partkey[i].key, [&](Tuple r) {
+              local.push_back(Tuple{r.payload, row_l});
+            });
+          }
+        }));
     result.step_ns[2] = watch.ElapsedNanos();
 
     std::vector<double> revenue(num_threads, 0.0);
-    MMJOIN_CHECK_OK(exec.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
-      const int tid = ctx.thread_id;
-      double local = 0.0;
-      for (const Tuple& match : index[tid]) {
-        if (PostJoin(lineitem, part, match.payload, match.key)) {
-          local += static_cast<double>(
-                       lineitem.l_extendedprice()[match.payload]) *
-                   (1.0 - lineitem.l_discount()[match.payload]);
-        }
-      }
-      revenue[tid] = local;
-    }));
+    MMJOIN_RETURN_IF_ERROR(
+        exec.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
+          const int tid = ctx.thread_id;
+          double local = 0.0;
+          for (const Tuple& match : index[tid]) {
+            if (PostJoin(lineitem, part, match.payload, match.key)) {
+              local += static_cast<double>(
+                           lineitem.l_extendedprice()[match.payload]) *
+                       (1.0 - lineitem.l_discount()[match.payload]);
+            }
+          }
+          revenue[tid] = local;
+        }));
     result.step_ns[3] = watch.ElapsedNanos();
     for (double r : revenue) result.revenue_step4 += r;
   }
@@ -344,25 +346,25 @@ Q19MorphResult RunQ19Morph(numa::NumaSystem* system,
   // Step 5: the full pipelined query (Listing 4), no join index.
   {
     Stopwatch watch;
-    auto table = build_table();
+    MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::vector<double> revenue(num_threads, 0.0);
-    MMJOIN_CHECK_OK(exec.ParallelFor(num_threads, l_rows, [&](std::size_t begin,
-                                              std::size_t end,
-                                              const thread::WorkerContext&
-                                                  ctx) {
-      const int tid = ctx.thread_id;
-      double local = 0.0;
-      for (uint64_t i = begin; i < end; ++i) {
-        if (!PreJoin(lineitem, i)) continue;
-        table->ProbeUnique(l_partkey[i].key, [&](Tuple r) {
-          if (PostJoin(lineitem, part, i, r.payload)) {
-            local += static_cast<double>(lineitem.l_extendedprice()[i]) *
-                     (1.0 - lineitem.l_discount()[i]);
+    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+        num_threads, l_rows,
+        [&](std::size_t begin, std::size_t end,
+            const thread::WorkerContext& ctx) {
+          const int tid = ctx.thread_id;
+          double local = 0.0;
+          for (uint64_t i = begin; i < end; ++i) {
+            if (!PreJoin(lineitem, i)) continue;
+            table->ProbeUnique(l_partkey[i].key, [&](Tuple r) {
+              if (PostJoin(lineitem, part, i, r.payload)) {
+                local += static_cast<double>(lineitem.l_extendedprice()[i]) *
+                         (1.0 - lineitem.l_discount()[i]);
+              }
+            });
           }
-        });
-      }
-      revenue[tid] = local;
-    }));
+          revenue[tid] = local;
+        }));
     result.step_ns[4] = watch.ElapsedNanos();
     for (double r : revenue) result.revenue_step5 += r;
   }

@@ -58,18 +58,16 @@ enum class Q19Strategy {
 // Executes Q19 with the given join algorithm. All parallel phases --
 // filter/materialize, the join itself, and the post-join pass -- run on
 // `executor` (the process-wide pool when nullptr); no threads are spawned
-// per query. `compaction_threshold` is the pipeline's boundary density
-// threshold (exec::PipelineConfig; < 0 selects the default, 0 disables
-// compaction). Pipeline failures (injected allocation faults, budget
-// rejections) surface as a Status; callers with no recovery path use
-// `.value()`, which aborts with the status printed. The optional
-// `mem_budget_bytes` is forwarded to the embedded join
+// per query. Pipeline failures (injected allocation faults, budget
+// rejections, a poisoned executor) surface as a Status; callers with no
+// recovery path use `.value()`, which aborts with the status printed. The
+// optional `mem_budget_bytes` is forwarded to the embedded join
 // (exec::PipelineConfig::mem_budget_bytes semantics).
 StatusOr<Q19Result> TryRunQ19(
     numa::NumaSystem* system, const LineitemTable& lineitem,
     const PartTable& part, join::Algorithm algorithm, int num_threads,
     Q19Strategy strategy = Q19Strategy::kPipelined,
-    thread::Executor* executor = nullptr, double compaction_threshold = -1.0,
+    thread::Executor* executor = nullptr,
     std::optional<uint64_t> mem_budget_bytes = std::nullopt);
 
 // Appendix G morphing steps, all with the NOP join:
@@ -84,10 +82,11 @@ struct Q19MorphResult {
   double revenue_step5 = 0.0;
 };
 
-Q19MorphResult RunQ19Morph(numa::NumaSystem* system,
-                           const LineitemTable& lineitem,
-                           const PartTable& part, int num_threads,
-                           thread::Executor* executor = nullptr);
+// Dispatch failures (a poisoned executor) come back as a Status.
+StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
+                                     const LineitemTable& lineitem,
+                                     const PartTable& part, int num_threads,
+                                     thread::Executor* executor = nullptr);
 
 // Reference single-threaded scan-based evaluation (ground truth for tests).
 double Q19Reference(const LineitemTable& lineitem, const PartTable& part);

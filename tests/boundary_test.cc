@@ -64,16 +64,15 @@ TEST(Boundary, EmptyRelationsYieldZeroMatches) {
   join::JoinConfig config;
   config.num_threads = 4;
   for (const join::Algorithm algorithm : join::AllAlgorithms()) {
-    const auto join = join::CreateJoin(algorithm);
     const join::JoinResult empty_probe =
-        join->Run(System(), config, ConstTupleSpan(&one, 1),
-                  ConstTupleSpan(&one, 0), /*key_domain=*/6).value();
+        join::RunJoin(algorithm, System(), config, ConstTupleSpan(&one, 1),
+                      ConstTupleSpan(&one, 0), /*key_domain=*/6).value();
     const join::JoinResult empty_build =
-        join->Run(System(), config, ConstTupleSpan(&one, 0),
-                  ConstTupleSpan(&one, 1), /*key_domain=*/6).value();
+        join::RunJoin(algorithm, System(), config, ConstTupleSpan(&one, 0),
+                      ConstTupleSpan(&one, 1), /*key_domain=*/6).value();
     const join::JoinResult both_empty =
-        join->Run(System(), config, ConstTupleSpan(&one, 0),
-                  ConstTupleSpan(&one, 0), /*key_domain=*/6).value();
+        join::RunJoin(algorithm, System(), config, ConstTupleSpan(&one, 0),
+                      ConstTupleSpan(&one, 0), /*key_domain=*/6).value();
     EXPECT_EQ(empty_probe.matches, 0u) << join::NameOf(algorithm);
     EXPECT_EQ(empty_build.matches, 0u) << join::NameOf(algorithm);
     EXPECT_EQ(both_empty.matches, 0u) << join::NameOf(algorithm);

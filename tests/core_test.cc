@@ -28,26 +28,6 @@ TEST(Joiner, RunMatchesReference) {
   EXPECT_EQ(result.checksum, expected.checksum);
 }
 
-TEST(Joiner, RunByName) {
-  Joiner joiner;
-  auto build = workload::MakeDenseBuild(joiner.system(), 1000, 3).value();
-  auto probe = workload::MakeUniformProbe(joiner.system(), 5000, 1000, 4).value();
-  const auto result = joiner.RunByName("NOPA", build, probe);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result.value().matches, 5000u);
-  EXPECT_FALSE(joiner.RunByName("bogus", build, probe).has_value());
-}
-
-TEST(Joiner, RunAutoPicksAndRuns) {
-  Joiner joiner;
-  auto build = workload::MakeDenseBuild(joiner.system(), 2000, 5).value();
-  auto probe = workload::MakeUniformProbe(joiner.system(), 20000, 2000, 6).value();
-  const Joiner::AutoResult result = joiner.RunAuto(build, probe).value();
-  EXPECT_EQ(result.algorithm, join::Algorithm::kNOPA);  // small dense build
-  EXPECT_EQ(result.result.matches, 20000u);
-  EXPECT_FALSE(result.reason.empty());
-}
-
 TEST(Joiner, RunMaterializedReturnsAllPairs) {
   Joiner joiner;
   auto build = workload::MakeDenseBuild(joiner.system(), 500, 7).value();

@@ -463,6 +463,102 @@ class Q19DifferentialTest : public ::testing::TestWithParam<join::Algorithm> {
   }
 };
 
+// TryRunQ19's plan rebuilt from public pieces, so the test can sweep the
+// compaction threshold TryRunQ19 leaves at its default: scan(l_partkey) ->
+// PreJoin -> join part -> PostJoin -> revenue, with kJoinIndex splitting
+// the plan at a join index.
+class PreJoinFilter final : public exec::Operator {
+ public:
+  explicit PreJoinFilter(const LineitemTable& l) : l_(l) {}
+  const char* name() const override { return "test.pre_join"; }
+  int output_columns() const override { return 2; }
+  bool is_filter() const override { return true; }
+  void Apply(int tid, exec::DataChunk* chunk) override {
+    const uint32_t* row_l = chunk->column(exec::kScanPayloadCol);
+    exec::RefineSelection(chunk, [&](const exec::DataChunk&, uint32_t row) {
+      return PreJoin(l_, row_l[row]);
+    });
+  }
+
+ private:
+  const LineitemTable& l_;
+};
+
+class PostJoinFilter final : public exec::Operator {
+ public:
+  PostJoinFilter(const LineitemTable& l, const PartTable& p) : l_(l), p_(p) {}
+  const char* name() const override { return "test.post_join"; }
+  int output_columns() const override { return 3; }
+  bool is_filter() const override { return true; }
+  void Apply(int tid, exec::DataChunk* chunk) override {
+    const uint32_t* row_p = chunk->column(exec::kJoinBuildPayloadCol);
+    const uint32_t* row_l = chunk->column(exec::kJoinProbePayloadCol);
+    exec::RefineSelection(chunk, [&](const exec::DataChunk&, uint32_t row) {
+      return PostJoin(l_, p_, row_l[row], row_p[row]);
+    });
+  }
+
+ private:
+  const LineitemTable& l_;
+  const PartTable& p_;
+};
+
+class RevenueSum final : public exec::Sink {
+ public:
+  explicit RevenueSum(const LineitemTable& l) : l_(l) {}
+  const char* name() const override { return "test.revenue"; }
+  void Open(int num_threads) override { sums_.assign(num_threads, 0.0); }
+  void Append(int tid, const exec::DataChunk& chunk) override {
+    const uint32_t* row_l = chunk.column(exec::kJoinProbePayloadCol);
+    for (uint32_t i = 0; i < chunk.ActiveRows(); ++i) {
+      const uint32_t row = row_l[chunk.RowAt(i)];
+      sums_[tid] += static_cast<double>(l_.l_extendedprice()[row]) *
+                    (1.0 - l_.l_discount()[row]);
+    }
+  }
+  double total() const {
+    double total = 0.0;
+    for (const double sum : sums_) total += sum;
+    return total;
+  }
+
+ private:
+  const LineitemTable& l_;
+  std::vector<double> sums_;  // per thread
+};
+
+StatusOr<double> RunQ19Plan(const LineitemTable& lineitem,
+                            const PartTable& part, join::Algorithm algorithm,
+                            Q19Strategy strategy, double threshold) {
+  exec::PipelineConfig config;
+  config.num_threads = 4;
+  config.compaction_threshold = threshold;
+  exec::TupleScan scan(
+      ConstTupleSpan(lineitem.l_partkey(), lineitem.num_tuples()));
+  PreJoinFilter pre_filter(lineitem);
+  exec::HashJoinProbe::Spec spec;
+  spec.algorithm = algorithm;
+  spec.build = ConstTupleSpan(part.p_partkey(), part.num_tuples());
+  spec.key_domain = part.num_tuples();
+  exec::HashJoinProbe join_probe(spec);
+  PostJoinFilter post_filter(lineitem, part);
+  RevenueSum revenue(lineitem);
+  if (strategy == Q19Strategy::kPipelined) {
+    exec::Pipeline pipeline(&scan, {&pre_filter, &join_probe, &post_filter},
+                            &revenue);
+    MMJOIN_RETURN_IF_ERROR(pipeline.Run(exec::System(), config).status());
+    return revenue.total();
+  }
+  exec::JoinIndexMaterialize index;
+  exec::Pipeline join_pipeline(&scan, {&pre_filter, &join_probe}, &index);
+  MMJOIN_RETURN_IF_ERROR(join_pipeline.Run(exec::System(), config).status());
+  const std::vector<join::MatchedPair> pairs = index.Gather();
+  exec::JoinIndexScan index_scan(&pairs);
+  exec::Pipeline post_pipeline(&index_scan, {&post_filter}, &revenue);
+  MMJOIN_RETURN_IF_ERROR(post_pipeline.Run(exec::System(), config).status());
+  return revenue.total();
+}
+
 TEST_P(Q19DifferentialTest, RevenueMatchesReferenceAcrossThresholds) {
   static const GeneratorOptions options = Options();
   static const LineitemTable lineitem =
@@ -473,17 +569,22 @@ TEST_P(Q19DifferentialTest, RevenueMatchesReferenceAcrossThresholds) {
 
   for (const Q19Strategy strategy :
        {Q19Strategy::kPipelined, Q19Strategy::kJoinIndex}) {
+    const StatusOr<Q19Result> result =
+        TryRunQ19(exec::System(), lineitem, part, GetParam(),
+                  /*num_threads=*/4, strategy);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_NEAR(result->revenue, expected, tolerance)
+        << join::NameOf(GetParam()) << " strategy="
+        << static_cast<int>(strategy);
+    EXPECT_EQ(result->join_matches, result->filtered_rows)
+        << join::NameOf(GetParam());
     for (const double threshold : {0.0, 0.5, 1.0}) {
-      const StatusOr<Q19Result> result =
-          TryRunQ19(exec::System(), lineitem, part, GetParam(),
-                    /*num_threads=*/4, strategy, /*executor=*/nullptr,
-                    threshold);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_NEAR(result->revenue, expected, tolerance)
+      const StatusOr<double> revenue =
+          RunQ19Plan(lineitem, part, GetParam(), strategy, threshold);
+      ASSERT_TRUE(revenue.ok()) << revenue.status().ToString();
+      EXPECT_NEAR(*revenue, expected, tolerance)
           << join::NameOf(GetParam()) << " strategy="
           << static_cast<int>(strategy) << " threshold=" << threshold;
-      EXPECT_EQ(result->join_matches, result->filtered_rows)
-          << join::NameOf(GetParam());
     }
   }
 }

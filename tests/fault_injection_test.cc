@@ -25,6 +25,7 @@
 #include "join/reference.h"
 #include "mem/aligned_alloc.h"
 #include "mem/budget.h"
+#include "obs/metrics.h"
 #include "thread/executor.h"
 #include "tpch/generator.h"
 #include "tpch/q19.h"
@@ -403,7 +404,8 @@ TEST_F(PipelineFaultTest, JoinAllocFaultsSurfaceCleanlyInBothStrategies) {
   for (const tpch::Q19Strategy strategy :
        {tpch::Q19Strategy::kPipelined, tpch::Q19Strategy::kJoinIndex}) {
     for (const char* spec :
-         {"alloc.partition=once", "alloc.build=once", "alloc.probe=once"}) {
+         {"alloc.partition=once", "alloc.build=once", "alloc.probe=once",
+          "alloc.materialize=once"}) {
       ASSERT_TRUE(failpoint::Configure(spec).ok());
       const auto failed = tpch::TryRunQ19(System(), *lineitem_, *part_,
                                           join::Algorithm::kCPRL,
@@ -425,6 +427,41 @@ TEST_F(PipelineFaultTest, JoinAllocFaultsSurfaceCleanlyInBothStrategies) {
   }
 }
 
+uint64_t JoinRuns() {
+  for (const obs::Metric& metric : obs::MetricsRegistry::Get().Snapshot()) {
+    if (metric.name == "join.runs") return metric.value;
+  }
+  return 0;
+}
+
+// join.runs counts successful joins through join::RunJoin, the one entry
+// point: a join failed by an injected fault adds nothing, and a Q19 run --
+// whose join goes through the pipeline -- adds exactly one in either
+// strategy.
+TEST_F(PipelineFaultTest, JoinRunsCountsSuccessfulJoinsOnly) {
+  auto build = workload::MakeDenseBuild(System(), 1000, 1).value();
+  auto probe = workload::MakeUniformProbe(System(), 4000, 1000, 2).value();
+  const uint64_t before_failed = JoinRuns();
+  ASSERT_TRUE(failpoint::Configure("alloc.build=once").ok());
+  join::JoinConfig config;
+  config.num_threads = 4;
+  ASSERT_FALSE(
+      join::RunJoin(join::Algorithm::kNOP, System(), config, build, probe)
+          .ok());
+  failpoint::DeactivateAll();
+  EXPECT_EQ(JoinRuns(), before_failed);
+
+  for (const tpch::Q19Strategy strategy :
+       {tpch::Q19Strategy::kPipelined, tpch::Q19Strategy::kJoinIndex}) {
+    const uint64_t before = JoinRuns();
+    ASSERT_TRUE(tpch::TryRunQ19(System(), *lineitem_, *part_,
+                                join::Algorithm::kCPRL, /*num_threads=*/4,
+                                strategy)
+                    .ok());
+    EXPECT_EQ(JoinRuns() - before, 1u) << static_cast<int>(strategy);
+  }
+}
+
 // A budget rejection inside the pipeline's join propagates the same way: a
 // clean Status, then full recovery (the per-run tracker leaves no state).
 TEST_F(PipelineFaultTest, BudgetRejectionPropagatesThroughPipeline) {
@@ -432,7 +469,6 @@ TEST_F(PipelineFaultTest, BudgetRejectionPropagatesThroughPipeline) {
   const auto failed = tpch::TryRunQ19(
       System(), *lineitem_, *part_, join::Algorithm::kNOP, /*num_threads=*/4,
       tpch::Q19Strategy::kPipelined, /*executor=*/nullptr,
-      /*compaction_threshold=*/-1.0,
       /*mem_budget_bytes=*/uint64_t{1} << 30);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
@@ -441,7 +477,6 @@ TEST_F(PipelineFaultTest, BudgetRejectionPropagatesThroughPipeline) {
   const auto recovered = tpch::TryRunQ19(
       System(), *lineitem_, *part_, join::Algorithm::kNOP, /*num_threads=*/4,
       tpch::Q19Strategy::kPipelined, /*executor=*/nullptr,
-      /*compaction_threshold=*/-1.0,
       /*mem_budget_bytes=*/uint64_t{1} << 30);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_NEAR(recovered.value().revenue,
@@ -535,6 +570,36 @@ TEST(Watchdog, StuckDispatchPoisonsExecutor) {
   const Status refused =
       executor.Dispatch(2, [](const thread::WorkerContext&) {});
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+}
+
+// The Appendix G morph runs its steps on the caller's executor; once the
+// watchdog has poisoned it, the morph returns the refused dispatch's Status
+// instead of aborting the process.
+TEST(Watchdog, PoisonedExecutorFailsQ19MorphCleanly) {
+  numa::NumaSystem system(1);
+  tpch::GeneratorOptions options;
+  options.lineitem_rows = 20000;
+  options.part_rows = 1000;
+  options.seed = 13;
+  const tpch::LineitemTable lineitem = tpch::GenerateLineitem(&system, options);
+  const tpch::PartTable part = tpch::GeneratePart(&system, options);
+
+  thread::Executor executor(2, /*num_nodes=*/1);
+  executor.set_watchdog_timeout(50);
+  const Status stuck =
+      executor.Dispatch(2, [](const thread::WorkerContext& ctx) {
+        if (ctx.thread_id == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        }
+      });
+  ASSERT_EQ(stuck.code(), StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(executor.poisoned());
+
+  const StatusOr<tpch::Q19MorphResult> morph =
+      tpch::RunQ19Morph(&system, lineitem, part, /*num_threads=*/2, &executor);
+  ASSERT_FALSE(morph.ok());
+  EXPECT_EQ(morph.status().code(), StatusCode::kFailedPrecondition)
+      << morph.status().ToString();
 }
 
 TEST(Watchdog, DisabledByDefaultAndHarmlessWhenFast) {

@@ -125,10 +125,11 @@ TEST(Regression, Q19MorphStepOneIsCheapest) {
   // Median-of-3 to be robust against scheduler noise.
   int64_t best[5] = {INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX};
   for (int i = 0; i < 3; ++i) {
-    const tpch::Q19MorphResult morph =
+    const StatusOr<tpch::Q19MorphResult> morph =
         tpch::RunQ19Morph(&system, lineitem, part, 4);
+    ASSERT_TRUE(morph.ok()) << morph.status().ToString();
     for (int s = 0; s < 5; ++s) {
-      best[s] = std::min(best[s], morph.step_ns[s]);
+      best[s] = std::min(best[s], morph->step_ns[s]);
     }
   }
   // Step 1 probes 3.57% of the rows; step 2 scans all rows. Allow slack

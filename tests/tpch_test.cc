@@ -221,8 +221,10 @@ TEST(Q19Morph, StepsAreCumulativeAndRevenueConsistent) {
   LineitemTable lineitem = GenerateLineitem(System(), options);
   PartTable part = GeneratePart(System(), options);
 
-  const Q19MorphResult morph =
+  const StatusOr<Q19MorphResult> run =
       RunQ19Morph(System(), lineitem, part, /*num_threads=*/4);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const Q19MorphResult& morph = *run;
   const double expected = Q19Reference(lineitem, part);
   EXPECT_NEAR(morph.revenue_step4, expected,
               std::abs(expected) * 1e-9 + 1e-6);
