@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "mem/budget.h"
 #include "obs/trace.h"
 #include "util/log.h"
 
@@ -18,13 +17,12 @@ Status JoinerOptions::Validate() const {
         "num_threads=" + std::to_string(num_threads) + " outside [1, " +
         std::to_string(join::JoinConfig::kMaxThreads) + "]");
   }
-  return join::JoinConfig::ValidateMemBudget(mem_budget_bytes);
+  return OkStatus();
 }
 
 Joiner::Joiner(const JoinerOptions& options)
     : system_(options.num_nodes, options.page_policy),
       num_threads_(options.num_threads),
-      mem_budget_bytes_(options.mem_budget_bytes),
       executor_(std::make_unique<thread::Executor>(options.num_threads,
                                                    options.num_nodes)) {
   const Status status = options.Validate();
@@ -53,10 +51,6 @@ StatusOr<join::JoinResult> Joiner::Run(join::Algorithm algorithm,
   join::JoinConfig config = base_config;
   config.num_threads = num_threads_;
   config.executor = executor_.get();
-  // Joiner-level default budget: a config-level budget wins.
-  if (!config.mem_budget_bytes.has_value() && config.budget == nullptr) {
-    config.mem_budget_bytes = mem_budget_bytes_;
-  }
   obs::ObsScope scope(join::NameOf(algorithm), obs::SpanKind::kRun);
   return join::RunJoin(algorithm, &system_, config, build, probe);
 }
@@ -64,16 +58,10 @@ StatusOr<join::JoinResult> Joiner::Run(join::Algorithm algorithm,
 StatusOr<std::vector<join::MatchedPair>> Joiner::RunMaterialized(
     join::Algorithm algorithm, const workload::Relation& build,
     const workload::Relation& probe) {
-  // Tracker first: the sink's destructor releases its reservation, so the
-  // tracker must outlive the sink.
-  mem::BudgetTracker tracker(mem_budget_bytes_.value_or(0));
   join::JoinIndexSink sink(num_threads_);
-  // FK joins: ~one match per probe tuple.
-  MMJOIN_RETURN_IF_ERROR(
-      sink.Reserve(probe.size(), tracker.bounded() ? &tracker : nullptr));
+  sink.Reserve(probe.size());  // FK joins: ~one match per probe tuple
   join::JoinConfig config;
   config.sink = &sink;
-  if (tracker.bounded()) config.budget = &tracker;
   MMJOIN_RETURN_IF_ERROR(Run(algorithm, config, build, probe).status());
   return sink.Gather();
 }

@@ -12,7 +12,6 @@
 #define MMJOIN_CORE_JOINER_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "join/join_algorithm.h"
@@ -28,11 +27,6 @@ struct JoinerOptions {
   int num_nodes = 4;
   mem::PagePolicy page_policy = mem::PagePolicy::kHuge;
   int num_threads = 4;
-  // Default per-join memory budget applied to every join this Joiner runs
-  // (a config that carries its own mem_budget_bytes wins). nullopt =
-  // unbounded. Must be >= join::JoinConfig::kMinMemBudgetBytes; zero or
-  // sub-minimum explicit budgets are rejected by Validate.
-  std::optional<uint64_t> mem_budget_bytes;
 
   // Rejects option sets the constructor would otherwise abort on.
   Status Validate() const;
@@ -65,14 +59,15 @@ class Joiner {
                                  const workload::Relation& build,
                                  const workload::Relation& probe);
   // Like Run, but with caller-supplied config fields (sink, build_unique,
-  // radix_bits, ...). num_threads and executor are always overridden to this
-  // joiner's pool.
+  // radix_bits, mem_budget_bytes, ...). num_threads and executor are always
+  // overridden to this joiner's pool; every other field is the caller's.
   StatusOr<join::JoinResult> Run(join::Algorithm algorithm,
                                  const join::JoinConfig& base_config,
                                  const workload::Relation& build,
                                  const workload::Relation& probe);
   // Materializing variant: returns the joined <key, build_payload,
-  // probe_payload> triples.
+  // probe_payload> triples. Unbudgeted; callers that need a bound run the
+  // join through Run with their own JoinIndexSink and mem_budget_bytes.
   StatusOr<std::vector<join::MatchedPair>> RunMaterialized(
       join::Algorithm algorithm, const workload::Relation& build,
       const workload::Relation& probe);
@@ -82,7 +77,6 @@ class Joiner {
  private:
   numa::NumaSystem system_;
   int num_threads_;
-  std::optional<uint64_t> mem_budget_bytes_;
   std::unique_ptr<thread::Executor> executor_;
 };
 

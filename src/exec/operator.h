@@ -11,7 +11,7 @@
 //              or transforms an input chunk into an output chunk, possibly
 //              over several calls (OpResult::kHaveMoreOutput).
 //   Sink       absorbs finished chunks into per-thread state; Finish()
-//              reduces single-threaded after the run.
+//              reduces single-threaded after the run and returns a Status.
 //
 // exec::HashJoinProbe is declared with this interface but executed
 // specially: the wrapped join algorithm drives probe parallelism itself, so
@@ -28,6 +28,7 @@
 #include <cstdint>
 
 #include "exec/data_chunk.h"
+#include "util/status.h"
 
 namespace mmjoin::exec {
 
@@ -91,8 +92,9 @@ class Sink {
   // distinct tids; implementations key all mutable state off tid.
   virtual void Append(int tid, const DataChunk& chunk) = 0;
 
-  // Single-threaded reduction after every worker drained.
-  virtual void Finish() {}
+  // Single-threaded reduction after every worker drained. A failure (e.g.
+  // an allocation fault) fails the pipeline run with this Status.
+  virtual Status Finish() { return OkStatus(); }
 };
 
 // Selection-vector refinement shared by every filter implementation:

@@ -50,16 +50,11 @@ bool JoinIndexScan::NextChunk(int tid, DataChunk* chunk) {
 
 StatusOr<join::JoinResult> HashJoinProbe::Execute(
     numa::NumaSystem* system, ConstTupleSpan probe, join::MatchSink* sink,
-    thread::Executor* executor, int num_threads,
-    std::optional<uint64_t> mem_budget_bytes) const {
+    thread::Executor* executor, int num_threads) const {
   join::JoinConfig config = spec_.config;
   config.num_threads = num_threads;
   config.executor = executor;
   config.sink = sink;
-  // Pipeline-level default budget: a spec-level budget wins.
-  if (!config.mem_budget_bytes.has_value() && config.budget == nullptr) {
-    config.mem_budget_bytes = mem_budget_bytes;
-  }
   return join::RunJoin(spec_.algorithm, system, config, spec_.build, probe,
                        spec_.key_domain);
 }
@@ -143,10 +138,11 @@ void TupleMaterialize::Append(int tid, const DataChunk& chunk) {
   }
 }
 
-void TupleMaterialize::Finish() {
+Status TupleMaterialize::Finish() {
   uint64_t total = 0;
   for (const auto& local : per_thread_) total += local.size();
-  gathered_ = numa::NumaBuffer<Tuple>(system_, total, placement_);
+  MMJOIN_ASSIGN_OR_RETURN(gathered_, numa::NumaBuffer<Tuple>::TryCreate(
+                                         system_, total, placement_));
   count_ = total;
   uint64_t offset = 0;
   for (auto& local : per_thread_) {
@@ -158,6 +154,7 @@ void TupleMaterialize::Finish() {
     local.clear();
     local.shrink_to_fit();
   }
+  return OkStatus();
 }
 
 }  // namespace mmjoin::exec

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "exec/data_chunk.h"
@@ -97,9 +96,9 @@ class HashJoinProbe final : public Operator {
     ConstTupleSpan build;
     // Exclusive key-domain bound for the array joins (0 = scan for max).
     uint64_t key_domain = 0;
-    // Join knobs (radix_bits, build_unique, mem_budget_bytes, ...).
-    // Execute overrides num_threads, executor and sink; a budget set here
-    // wins over the pipeline-level budget passed to Execute.
+    // Join knobs (radix_bits, build_unique, mem_budget_bytes, ...); the
+    // join's budget is set here and nowhere else in the pipeline. Execute
+    // overrides num_threads, executor and sink.
     join::JoinConfig config;
   };
 
@@ -112,10 +111,11 @@ class HashJoinProbe final : public Operator {
   // Runs the wrapped algorithm through join::RunJoin with `sink` receiving
   // the match stream. Called by the Pipeline driver; not reachable through
   // Process.
-  StatusOr<join::JoinResult> Execute(
-      numa::NumaSystem* system, ConstTupleSpan probe, join::MatchSink* sink,
-      thread::Executor* executor, int num_threads,
-      std::optional<uint64_t> mem_budget_bytes = std::nullopt) const;
+  StatusOr<join::JoinResult> Execute(numa::NumaSystem* system,
+                                     ConstTupleSpan probe,
+                                     join::MatchSink* sink,
+                                     thread::Executor* executor,
+                                     int num_threads) const;
 
  private:
   Spec spec_;
@@ -195,7 +195,9 @@ class TupleMaterialize final : public Sink {
     per_thread_.assign(static_cast<std::size_t>(num_threads), {});
   }
   void Append(int tid, const DataChunk& chunk) override;
-  void Finish() override;  // concatenates into the NUMA buffer
+  // Concatenates into the NUMA buffer; ResourceExhausted when that
+  // allocation fails.
+  Status Finish() override;
 
   uint64_t size() const { return gathered_.size(); }
   ConstTupleSpan span() const {

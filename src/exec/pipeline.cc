@@ -142,8 +142,7 @@ class SegmentWorker {
 
 // Bridges the join's match stream into the post-join segment: converts each
 // MatchChunk into a 3-column DataChunk (three memcpys) and pushes it through
-// the per-thread SegmentWorker inside the join's worker threads. The
-// tuple-at-a-time Consume path batches into a pending MatchChunk first.
+// the per-thread SegmentWorker inside the join's worker threads.
 class SegmentMatchSink final : public join::MatchSink {
  public:
   SegmentMatchSink(std::vector<std::unique_ptr<SegmentWorker>>* workers,
@@ -151,15 +150,15 @@ class SegmentMatchSink final : public join::MatchSink {
       : workers_(workers) {
     static_assert(join::MatchChunk::kCapacity == kChunkCapacity,
                   "MatchChunk -> DataChunk conversion must not overflow");
-    per_thread_.reserve(static_cast<std::size_t>(num_threads));
+    convert_.reserve(static_cast<std::size_t>(num_threads));
     for (int i = 0; i < num_threads; ++i) {
-      per_thread_.push_back(std::make_unique<PerThread>());
+      convert_.push_back(std::make_unique<DataChunk>(3));
     }
   }
 
   void ConsumeChunk(int tid, const join::MatchChunk& chunk) override {
-    MMJOIN_DCHECK(tid >= 0 && tid < static_cast<int>(per_thread_.size()));
-    DataChunk& out = per_thread_[static_cast<std::size_t>(tid)]->convert;
+    MMJOIN_DCHECK(tid >= 0 && tid < static_cast<int>(convert_.size()));
+    DataChunk& out = *convert_[static_cast<std::size_t>(tid)];
     out.Reset();
     const std::size_t bytes =
         static_cast<std::size_t>(chunk.size) * sizeof(uint32_t);
@@ -170,35 +169,12 @@ class SegmentMatchSink final : public join::MatchSink {
     (*workers_)[static_cast<std::size_t>(tid)]->Push(tid, &out);
   }
 
-  void Consume(int tid, Tuple build, Tuple probe) override {
-    MMJOIN_DCHECK(tid >= 0 && tid < static_cast<int>(per_thread_.size()));
-    join::MatchChunk& pending =
-        per_thread_[static_cast<std::size_t>(tid)]->pending;
-    pending.Add(build, probe);
-    if (pending.full()) FlushPending(tid);
-  }
-
-  // Hands buffered Consume tuples over to the segment. Called by workers on
-  // chunk fill and (per tid, single-threaded) after the join returns.
-  void FlushPending(int tid) {
-    join::MatchChunk& pending =
-        per_thread_[static_cast<std::size_t>(tid)]->pending;
-    if (pending.size == 0) return;
-    ConsumeChunk(tid, pending);
-    pending.size = 0;
-  }
-
  private:
-  struct PerThread {
-    // single-owner: worker `tid` only.
-    DataChunk convert{3};
-    join::MatchChunk pending;
-  };
-
   // per-thread: each join worker dereferences only its own tid's slot
   std::vector<std::unique_ptr<SegmentWorker>>* workers_;
-  // per-thread slots indexed by tid; sized before the join dispatch
-  std::vector<std::unique_ptr<PerThread>> per_thread_;
+  // per-thread conversion chunks indexed by tid; sized before the join
+  // dispatch, each touched only by worker `tid`
+  std::vector<std::unique_ptr<DataChunk>> convert_;
 };
 
 std::vector<std::unique_ptr<SegmentWorker>> MakeSegmentWorkers(
@@ -311,7 +287,7 @@ StatusOr<PipelineStats> Pipeline::Run(numa::NumaSystem* system,
     MMJOIN_RETURN_IF_ERROR(RunScanSegment(source_, ops_, 0, ops_.size(),
                                           sink_, executor, num_threads,
                                           threshold, &workers));
-    sink_->Finish();
+    MMJOIN_RETURN_IF_ERROR(sink_->Finish());
     for (const auto& worker : workers) worker->FoldInto(&stats);
     stats.total_ns = NowNanos() - start_ns;
     FlushExecMetrics(stats);
@@ -327,7 +303,7 @@ StatusOr<PipelineStats> Pipeline::Run(numa::NumaSystem* system,
     MMJOIN_RETURN_IF_ERROR(RunScanSegment(source_, ops_, 0, join_pos,
                                           &probe_mat, executor, num_threads,
                                           threshold, &pre_workers));
-    probe_mat.Finish();
+    MMJOIN_RETURN_IF_ERROR(probe_mat.Finish());
   }
   for (const auto& worker : pre_workers) worker->FoldInto(&stats);
   // sink_chunks/sink_rows report the *final* sink boundary only; the
@@ -352,16 +328,15 @@ StatusOr<PipelineStats> Pipeline::Run(numa::NumaSystem* system,
   StatusOr<join::JoinResult> join_result = [&] {
     obs::ObsScope scope("exec.stage.join", obs::SpanKind::kOther);
     return join_op->Execute(system, probe_mat.span(), &match_sink, executor,
-                            num_threads, config.mem_budget_bytes);
+                            num_threads);
   }();
   if (!join_result.ok()) return join_result.status();
   {
     obs::ObsScope scope("exec.stage.drain", obs::SpanKind::kOther);
     for (int tid = 0; tid < num_threads; ++tid) {
-      match_sink.FlushPending(tid);
       post_workers[static_cast<std::size_t>(tid)]->Drain(tid);
     }
-    sink_->Finish();
+    MMJOIN_RETURN_IF_ERROR(sink_->Finish());
   }
   for (const auto& worker : post_workers) worker->FoldInto(&stats);
   stats.has_join = true;

@@ -19,7 +19,6 @@
 #define MMJOIN_EXEC_PIPELINE_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "exec/compaction.h"
@@ -42,10 +41,6 @@ struct PipelineConfig {
   thread::Executor* executor = nullptr;
   // Placement of the materialized probe relation in front of a join.
   numa::Placement materialize_placement = numa::Placement::kChunkedRoundRobin;
-  // Memory budget forwarded to the embedded join (join::JoinConfig
-  // semantics: nullopt = unbounded; a HashJoinProbe::Spec-level budget
-  // wins over this pipeline-level default).
-  std::optional<uint64_t> mem_budget_bytes;
 
   double ResolvedThreshold() const {
     return compaction_threshold < 0.0 ? kDefaultCompactionThreshold
@@ -80,7 +75,10 @@ class Pipeline {
   Pipeline(Source* source, std::vector<Operator*> ops, Sink* sink);
 
   // Executes the plan. On success the sink has been Finish()ed and holds
-  // the query result; the stats describe the run.
+  // the query result; the stats describe the run. A failing source
+  // dispatch, join or Sink::Finish (the probe materialization in front of
+  // a join included) fails the run with that Status. The embedded join's
+  // memory budget is its HashJoinProbe::Spec::config.mem_budget_bytes.
   StatusOr<PipelineStats> Run(numa::NumaSystem* system,
                               const PipelineConfig& config);
 

@@ -311,8 +311,8 @@ inline uint64_t InferKeyDomain(ConstTupleSpan build, uint64_t provided) {
 }
 
 // Batches matches into a MatchChunk and flushes it to the sink's
-// ConsumeChunk fast path -- one virtual call per up-to-1024 matches instead
-// of one per match. Stack-allocated per probe task/fragment; the destructor
+// ConsumeChunk -- one virtual call per up-to-1024 matches instead of one
+// per match. Stack-allocated per probe task/fragment; the destructor
 // flushes the remainder, so partial chunks at task boundaries are delivered
 // (chunk *sizes* are therefore best-effort; consumers that care about
 // density compact downstream, see exec::ChunkCompactor).

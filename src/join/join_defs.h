@@ -124,25 +124,15 @@ struct MatchChunk {
 
 // Optional consumer of matched pairs (used by the TPC-H executors to build
 // join indexes and by the exec:: pipeline to feed post-join operators).
-// Both entry points may be called concurrently from different threads with
-// distinct thread ids.
-//
-// ConsumeChunk is the fast path: the join kernels batch matches into
-// MatchChunks (see internal::MatchBuffer) and hand over whole chunks, one
-// virtual call per up-to-1024 matches. Sinks that only implement the
-// tuple-at-a-time Consume get the default unbatching adapter below; chunk
-// sizes are best-effort (task/fragment boundaries flush partial chunks).
+// The join kernels batch matches into MatchChunks (see internal::MatchBuffer)
+// and hand over whole chunks, one virtual call per up-to-1024 matches; chunk
+// sizes are best-effort (task/fragment boundaries flush partial chunks), but
+// a delivered chunk is never empty. ConsumeChunk may be called concurrently
+// from different threads with distinct thread ids.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
-  virtual void Consume(int thread_id, Tuple build, Tuple probe) = 0;
-
-  virtual void ConsumeChunk(int thread_id, const MatchChunk& chunk) {
-    for (uint32_t i = 0; i < chunk.size; ++i) {
-      Consume(thread_id, Tuple{chunk.key[i], chunk.build_payload[i]},
-              Tuple{chunk.key[i], chunk.probe_payload[i]});
-    }
-  }
+  virtual void ConsumeChunk(int thread_id, const MatchChunk& chunk) = 0;
 };
 
 struct JoinConfig {
@@ -168,12 +158,13 @@ struct JoinConfig {
   // threads are spawned per join. core::Joiner points this at its own
   // persistent executor.
   thread::Executor* executor = nullptr;
-  // Per-join memory budget in bytes. nullopt = unbounded. When set (and no
-  // tracker is supplied below), RunJoin creates a run-local
-  // mem::BudgetTracker for the duration of the join. The PR*/CPR* family
-  // degrades gracefully under a tight budget (re-plan radix bits / passes,
-  // then sequential spill waves); the other algorithms check-and-reject with
-  // ResourceExhausted. See docs/ROBUSTNESS.md "Memory budgets".
+  // Per-join memory budget in bytes -- the one place a join's budget is
+  // set. nullopt = unbounded. When set (and no tracker is supplied below),
+  // RunJoin creates a run-local mem::BudgetTracker for the duration of the
+  // join. The PR*/CPR* family degrades gracefully under a tight budget
+  // (re-plan radix bits / passes, then sequential spill waves); the other
+  // algorithms check-and-reject with ResourceExhausted. See
+  // docs/ROBUSTNESS.md "Memory budgets".
   std::optional<uint64_t> mem_budget_bytes;
   // Externally owned tracker (e.g. a per-tenant budget shared by several
   // joins). Takes precedence over mem_budget_bytes. Not owned.
@@ -182,13 +173,9 @@ struct JoinConfig {
   // Rejects configurations the kernels cannot execute safely: thread counts
   // outside [1, kMaxThreads], radix bits above kMaxRadixBits, more than two
   // partitioning passes, relation sizes whose partition buffers would
-  // overflow size_t arithmetic, and explicit budgets below one partition
-  // buffer. Checked by RunJoin before any allocation.
+  // overflow size_t arithmetic, and explicit budgets of zero or below
+  // kMinMemBudgetBytes. Checked by RunJoin before any allocation.
   Status Validate(uint64_t build_size, uint64_t probe_size) const;
-
-  // The budget part of Validate, shared with core::JoinerOptions: nullopt
-  // (unbounded) passes; zero and anything below kMinMemBudgetBytes do not.
-  static Status ValidateMemBudget(std::optional<uint64_t> mem_budget_bytes);
 
   static constexpr int kMaxThreads = 1024;
   static constexpr uint32_t kMaxRadixBits = 27;

@@ -2,9 +2,9 @@
 //
 // The micro-benchmark methodology of the paper (and all prior work it
 // reproduces) aggregates matches instead of materializing them; real
-// queries need the pairs. These MatchSink implementations collect matched
-// tuples with per-thread buffers (no synchronization on the hot path),
-// following the join-index strategy of the paper's Appendix G.
+// queries need the pairs. JoinIndexSink collects matched tuples with
+// per-thread buffers (no synchronization on the hot path), following the
+// join-index strategy of the paper's Appendix G.
 
 #ifndef MMJOIN_JOIN_MATERIALIZE_H_
 #define MMJOIN_JOIN_MATERIALIZE_H_
@@ -13,10 +13,8 @@
 #include <vector>
 
 #include "join/join_defs.h"
-#include "mem/budget.h"
 #include "obs/trace.h"
 #include "util/macros.h"
-#include "util/status.h"
 #include "util/types.h"
 
 namespace mmjoin::join {
@@ -35,51 +33,23 @@ struct MatchedPair {
 // threaded, after the join) to concatenate them into a join index.
 class JoinIndexSink final : public MatchSink {
  public:
-  // Thread ids delivered to Consume/ConsumeChunk must lie in
+  // Thread ids delivered to ConsumeChunk must lie in
   // [0, num_threads). Non-positive counts are a caller bug (a sink with no
   // buffers could only crash later, in the concurrent consume path, where
   // the stack no longer names the culprit) -- fail fast here instead.
   explicit JoinIndexSink(int num_threads)
       : per_thread_(CheckedThreadCount(num_threads)) {}
 
-  ~JoinIndexSink() override {
-    if (budget_ != nullptr) budget_->Release(budget_reserved_bytes_);
-  }
-
   // Optional: pre-reserve per-thread capacity when the match count is
   // predictable (e.g. FK joins: |S| matches).
   void Reserve(uint64_t expected_total) {
-    if (per_thread_.empty()) return;  // unreachable post-ctor-check; belt
     for (auto& local : per_thread_) {
       local.reserve(expected_total / per_thread_.size() + 16);
     }
   }
 
-  // Budgeted variant: charges the expected index bytes against `budget`
-  // before reserving. The tracker must outlive the sink (the destructor
-  // releases the reservation). A null or unbounded tracker degrades to the
-  // plain Reserve above.
-  Status Reserve(uint64_t expected_total, mem::BudgetTracker* budget) {
-    if (budget != nullptr && budget->bounded()) {
-      const uint64_t bytes = expected_total * sizeof(MatchedPair);
-      MMJOIN_RETURN_IF_ERROR(
-          budget->Reserve(bytes, "join index materialization"));
-      budget_ = budget;
-      budget_reserved_bytes_ += bytes;
-    }
-    Reserve(expected_total);
-    return OkStatus();
-  }
-
-  void Consume(int tid, Tuple build, Tuple probe) override {
-    MMJOIN_DCHECK(tid >= 0 &&
-                  tid < static_cast<int>(per_thread_.size()));
-    per_thread_[tid].push_back(
-        MatchedPair{probe.key, build.payload, probe.payload});
-  }
-
-  // Chunked fast path: one bounds check + one resize per up-to-1024
-  // matches, then straight columnar copies into the row-wise index.
+  // One bounds check + one resize per up-to-1024 matches, then straight
+  // columnar copies into the row-wise index.
   void ConsumeChunk(int tid, const MatchChunk& chunk) override {
     MMJOIN_DCHECK(tid >= 0 &&
                   tid < static_cast<int>(per_thread_.size()));
@@ -121,30 +91,7 @@ class JoinIndexSink final : public MatchSink {
   }
 
   std::vector<std::vector<MatchedPair>> per_thread_;
-  mem::BudgetTracker* budget_ = nullptr;  // single-owner: borrowed, not owned
-  uint64_t budget_reserved_bytes_ = 0;    // single-owner: set pre-join only
 };
-
-// Streams matches into a caller-provided callback under a per-thread
-// wrapper -- for pipelined consumption (aggregation, filtering) without
-// materialization. The callback must be thread-safe or rely only on the
-// tid-partitioned state it owns.
-template <typename Fn>
-class CallbackSink final : public MatchSink {
- public:
-  explicit CallbackSink(Fn fn) : fn_(std::move(fn)) {}
-  void Consume(int tid, Tuple build, Tuple probe) override {
-    fn_(tid, build, probe);
-  }
-
- private:
-  Fn fn_;
-};
-
-template <typename Fn>
-CallbackSink<Fn> MakeCallbackSink(Fn fn) {
-  return CallbackSink<Fn>(std::move(fn));
-}
 
 }  // namespace mmjoin::join
 

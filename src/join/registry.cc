@@ -93,10 +93,6 @@ Status JoinConfig::Validate(uint64_t build_size, uint64_t probe_size) const {
         "relation sizes (" + std::to_string(build_size) + ", " +
         std::to_string(probe_size) + ") exceed the supported maximum 2^40");
   }
-  return ValidateMemBudget(mem_budget_bytes);
-}
-
-Status JoinConfig::ValidateMemBudget(std::optional<uint64_t> mem_budget_bytes) {
   if (!mem_budget_bytes.has_value()) return OkStatus();
   if (*mem_budget_bytes == 0) {
     return InvalidArgumentError(

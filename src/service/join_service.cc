@@ -247,9 +247,6 @@ void JoinService::RunJob(int lane_index, Job* job) {
   config.num_threads = options_.joiner.num_threads;
   config.executor = lanes_[static_cast<size_t>(lane_index)].executor;
   config.budget = job->tracker;  // nullptr for unbounded tenants
-  if (config.budget == nullptr && !config.mem_budget_bytes.has_value()) {
-    config.mem_budget_bytes = options_.joiner.mem_budget_bytes;
-  }
 
   // Per-job EXPLAIN window: counter and steal-matrix snapshots bracket this
   // job only, not the process lifetime (see core/explain.h for what

@@ -19,7 +19,9 @@
 // per tenant threaded into every job's JoinConfig::budget: the join
 // kernels charge their plan-level working set against it and degrade or
 // reject (ResourceExhausted) when the tenant is over budget, exactly as a
-// single budgeted join would (docs/ROBUSTNESS.md).
+// single budgeted join would (docs/ROBUSTNESS.md). A job of an unbounded
+// tenant runs under its own JobSpec::config.mem_budget_bytes, if set; the
+// service adds no default budget of its own.
 //
 // Fairness model: FIFO dispatch over the admission queue, bounded by the
 // per-tenant caps -- a tenant can occupy at most max_concurrent_jobs of

@@ -160,8 +160,10 @@ StatusOr<numa::NumaBuffer<Tuple>> FilterProbe(numa::NumaSystem* system,
   }
   *out_count = total;
 
-  numa::NumaBuffer<Tuple> probe(system, std::max<uint64_t>(total, 1),
-                                numa::Placement::kChunkedRoundRobin);
+  MMJOIN_ASSIGN_OR_RETURN(
+      numa::NumaBuffer<Tuple> probe,
+      numa::NumaBuffer<Tuple>::TryCreate(system, std::max<uint64_t>(total, 1),
+                                         numa::Placement::kChunkedRoundRobin));
   MMJOIN_RETURN_IF_ERROR(
       executor.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
         const thread::Range range =
@@ -189,7 +191,6 @@ StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
   exec::PipelineConfig config;
   config.num_threads = num_threads;
   config.executor = executor;
-  config.mem_budget_bytes = mem_budget_bytes;
 
   exec::TupleScan scan(
       ConstTupleSpan(lineitem.l_partkey(), lineitem.num_tuples()));
@@ -198,6 +199,7 @@ StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
   join_spec.algorithm = algorithm;
   join_spec.build = ConstTupleSpan(part.p_partkey(), part.num_tuples());
   join_spec.key_domain = part.num_tuples();
+  join_spec.config.mem_budget_bytes = mem_budget_bytes;
   exec::HashJoinProbe join_probe(join_spec);
   Q19PostFilter post_filter(lineitem, part);
   RevenueAggregate aggregate(lineitem);

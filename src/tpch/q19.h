@@ -61,8 +61,8 @@ enum class Q19Strategy {
 // per query. Pipeline failures (injected allocation faults, budget
 // rejections, a poisoned executor) surface as a Status; callers with no
 // recovery path use `.value()`, which aborts with the status printed. The
-// optional `mem_budget_bytes` is forwarded to the embedded join
-// (exec::PipelineConfig::mem_budget_bytes semantics).
+// optional `mem_budget_bytes` becomes the embedded join's
+// JoinConfig::mem_budget_bytes (nullopt = unbounded).
 StatusOr<Q19Result> TryRunQ19(
     numa::NumaSystem* system, const LineitemTable& lineitem,
     const PartTable& part, join::Algorithm algorithm, int num_threads,
@@ -82,7 +82,8 @@ struct Q19MorphResult {
   double revenue_step5 = 0.0;
 };
 
-// Dispatch failures (a poisoned executor) come back as a Status.
+// Dispatch and allocation failures (a poisoned executor, an alloc.mmap
+// fault on the filtered probe column) come back as a Status.
 StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
                                      const LineitemTable& lineitem,
                                      const PartTable& part, int num_threads,

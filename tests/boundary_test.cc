@@ -165,9 +165,9 @@ TEST(Boundary, JoinerHandlesAllDuplicateBuildKeys) {
 }
 
 // Memory-budget validation boundaries: zero and sub-minimum budgets are
-// configuration errors (InvalidArgument, caught before any work), at both
-// the per-join config and the Joiner-options level; the minimum itself is
-// accepted.
+// configuration errors (InvalidArgument, caught before any work) on the
+// per-join config, the one place a join's budget is set; the minimum itself
+// is accepted.
 TEST(Boundary, MemBudgetValidationLimits) {
   workload::Relation build(System(), 1024);
   workload::Relation probe(System(), 4096);
@@ -201,20 +201,6 @@ TEST(Boundary, MemBudgetValidationLimits) {
   EXPECT_TRUE(
       join::RunJoin(join::Algorithm::kPRO, System(), minimum, build, probe)
           .ok());
-
-  core::JoinerOptions zero_opts;
-  zero_opts.mem_budget_bytes = 0;
-  EXPECT_EQ(core::Joiner::Create(zero_opts).status().code(),
-            StatusCode::kInvalidArgument);
-
-  core::JoinerOptions tiny_opts;
-  tiny_opts.mem_budget_bytes = 1024;
-  EXPECT_EQ(core::Joiner::Create(tiny_opts).status().code(),
-            StatusCode::kInvalidArgument);
-
-  core::JoinerOptions min_opts;
-  min_opts.mem_budget_bytes = join::JoinConfig::kMinMemBudgetBytes;
-  EXPECT_TRUE(core::Joiner::Create(min_opts).ok());
 }
 
 // Drives the CHT three-phase parallel build protocol directly (outside

@@ -50,8 +50,12 @@ TEST(Joiner, RunMaterializedReturnsAllPairs) {
 
 TEST(JoinIndexSink, GatherEmptiesTheSink) {
   join::JoinIndexSink sink(2);
-  sink.Consume(0, Tuple{1, 10}, Tuple{1, 20});
-  sink.Consume(1, Tuple{2, 11}, Tuple{2, 21});
+  join::MatchChunk first;
+  first.Add(Tuple{1, 10}, Tuple{1, 20});
+  sink.ConsumeChunk(0, first);
+  join::MatchChunk second;
+  second.Add(Tuple{2, 11}, Tuple{2, 21});
+  sink.ConsumeChunk(1, second);
   EXPECT_EQ(sink.size(), 2u);
   auto pairs = sink.Gather();
   EXPECT_EQ(pairs.size(), 2u);
@@ -77,39 +81,24 @@ TEST(JoinIndexSink, ReserveDistributesAcrossThreads) {
   EXPECT_EQ(sink.size(), 0u);
 }
 
-// The chunked fast path must agree with the tuple-at-a-time path.
-TEST(JoinIndexSink, ConsumeChunkMatchesConsume) {
+// Every row of a chunk lands in the index as one <key, build, probe> pair,
+// in chunk order, appended after what the thread already collected.
+TEST(JoinIndexSink, ConsumeChunkCopiesEveryRow) {
   join::MatchChunk chunk;
+  std::vector<join::MatchedPair> expected;
+  for (int round = 0; round < 2; ++round) {
+    for (uint32_t i = 0; i < 100; ++i) {
+      expected.push_back(join::MatchedPair{i, i + 1000, i + 2000});
+    }
+  }
   for (uint32_t i = 0; i < 100; ++i) {
     chunk.Add(Tuple{i, i + 1000}, Tuple{i, i + 2000});
   }
 
-  join::JoinIndexSink chunked(2);
-  chunked.ConsumeChunk(1, chunk);
-  join::JoinIndexSink scalar(2);
-  for (uint32_t i = 0; i < chunk.size; ++i) {
-    scalar.Consume(1, Tuple{chunk.key[i], chunk.build_payload[i]},
-                   Tuple{chunk.key[i], chunk.probe_payload[i]});
-  }
-  EXPECT_EQ(chunked.Gather(), scalar.Gather());
-}
-
-TEST(CallbackSink, StreamsMatches) {
-  std::vector<uint64_t> per_thread(4, 0);
-  auto sink = join::MakeCallbackSink(
-      [&](int tid, Tuple build, Tuple probe) { ++per_thread[tid]; });
-
-  Joiner joiner;
-  auto build = workload::MakeDenseBuild(joiner.system(), 1000, 9).value();
-  auto probe = workload::MakeUniformProbe(joiner.system(), 8000, 1000, 10).value();
-  join::JoinConfig config;
-  config.num_threads = 4;
-  config.sink = &sink;
-  join::RunJoin(join::Algorithm::kCPRL, joiner.system(), config, build,
-                probe).value();
-  uint64_t total = 0;
-  for (uint64_t c : per_thread) total += c;
-  EXPECT_EQ(total, 8000u);
+  join::JoinIndexSink sink(2);
+  sink.ConsumeChunk(1, chunk);
+  sink.ConsumeChunk(1, chunk);
+  EXPECT_EQ(sink.Gather(), expected);
 }
 
 // Probe keys outside the build key domain must miss safely, for every

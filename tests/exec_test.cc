@@ -226,34 +226,6 @@ TEST(ChunkCompactor, EmptyChunksAreDroppedAtTheBoundary) {
   EXPECT_EQ(compactor.stats().chunks_emitted, 0u);
 }
 
-// --- MatchSink chunk adapter ------------------------------------------------
-
-// A sink implementing only the tuple-at-a-time entry point must receive
-// every pair of a chunk through the default ConsumeChunk adapter.
-TEST(MatchSink, DefaultConsumeChunkUnbatches) {
-  struct RecordingSink : join::MatchSink {
-    std::vector<join::MatchedPair> pairs;
-    int last_tid = -1;
-    void Consume(int tid, Tuple build, Tuple probe) override {
-      last_tid = tid;
-      pairs.push_back(join::MatchedPair{probe.key, build.payload,
-                                        probe.payload});
-    }
-  };
-
-  join::MatchChunk chunk;
-  for (uint32_t i = 0; i < 77; ++i) {
-    chunk.Add(Tuple{i, i + 100}, Tuple{i, i + 200});
-  }
-  RecordingSink sink;
-  static_cast<join::MatchSink&>(sink).ConsumeChunk(3, chunk);
-  ASSERT_EQ(sink.pairs.size(), 77u);
-  EXPECT_EQ(sink.last_tid, 3);
-  for (uint32_t i = 0; i < 77; ++i) {
-    EXPECT_EQ(sink.pairs[i], (join::MatchedPair{i, i + 100, i + 200}));
-  }
-}
-
 // --- Pipeline: scan-only segment --------------------------------------------
 
 // Keeps keys strictly below `bound`.

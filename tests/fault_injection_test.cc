@@ -484,6 +484,58 @@ TEST_F(PipelineFaultTest, BudgetRejectionPropagatesThroughPipeline) {
               std::abs(recovered.value().revenue) * 1e-9 + 1e-9);
 }
 
+// The probe-side materialization in front of the join -- the pipeline's
+// TupleMaterialize in TryRunQ19, FilterProbe in RunQ19Morph -- is the first
+// NumaSystem allocation of a Q19 run. An alloc.mmap fault there must fail
+// the run with a clean ResourceExhausted, leak no region, and leave the
+// next run correct.
+TEST_F(PipelineFaultTest, ProbeMaterializationFaultFailsCleanly) {
+  const double reference = tpch::Q19Reference(*lineitem_, *part_);
+  const auto expect_mmap_fault = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << status.ToString();
+    EXPECT_NE(status.message().find("alloc.mmap"), std::string::npos)
+        << status.ToString();
+  };
+
+  for (const tpch::Q19Strategy strategy :
+       {tpch::Q19Strategy::kPipelined, tpch::Q19Strategy::kJoinIndex}) {
+    const std::size_t live_before = System()->num_live_regions();
+    ASSERT_TRUE(failpoint::Configure("alloc.mmap=once").ok());
+    const auto failed = tpch::TryRunQ19(System(), *lineitem_, *part_,
+                                        join::Algorithm::kNOP,
+                                        /*num_threads=*/4, strategy);
+    failpoint::DeactivateAll();
+    ASSERT_FALSE(failed.ok()) << static_cast<int>(strategy);
+    expect_mmap_fault(failed.status());
+    EXPECT_EQ(System()->num_live_regions(), live_before);
+
+    const auto recovered = tpch::TryRunQ19(System(), *lineitem_, *part_,
+                                           join::Algorithm::kNOP,
+                                           /*num_threads=*/4, strategy);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_NEAR(recovered.value().revenue, reference,
+                std::abs(reference) * 1e-9);
+  }
+
+  const std::size_t live_before = System()->num_live_regions();
+  ASSERT_TRUE(failpoint::Configure("alloc.mmap=once").ok());
+  const auto failed =
+      tpch::RunQ19Morph(System(), *lineitem_, *part_, /*num_threads=*/4);
+  failpoint::DeactivateAll();
+  ASSERT_FALSE(failed.ok());
+  expect_mmap_fault(failed.status());
+  EXPECT_EQ(System()->num_live_regions(), live_before);
+
+  const auto recovered =
+      tpch::RunQ19Morph(System(), *lineitem_, *part_, /*num_threads=*/4);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_NEAR(recovered.value().revenue_step4, reference,
+              std::abs(reference) * 1e-9);
+  EXPECT_NEAR(recovered.value().revenue_step5, reference,
+              std::abs(reference) * 1e-9);
+}
+
 // ---------------------------------------------------------------------------
 // Graceful degradation and validation
 // ---------------------------------------------------------------------------

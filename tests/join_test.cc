@@ -144,12 +144,25 @@ TEST_P(AllJoinsTest, ProbeSmallerThanBuild) {
   ExpectMatchesReference(GetParam(), build, probe, config, "small probe");
 }
 
-// Exact multiset of matched pairs via a MatchSink on a small input.
+// Exact multiset of matched pairs via a MatchSink on a small input. Also
+// counts, per thread, delivered chunks outside [1, MatchChunk::kCapacity].
 class PairCollectorSink final : public MatchSink {
  public:
-  explicit PairCollectorSink(int num_threads) : pairs_(num_threads) {}
-  void Consume(int tid, Tuple build, Tuple probe) override {
-    pairs_[tid].emplace_back(build.payload, probe.payload);
+  explicit PairCollectorSink(int num_threads)
+      : pairs_(num_threads), bad_chunks_(num_threads, 0) {}
+  void ConsumeChunk(int tid, const MatchChunk& chunk) override {
+    if (chunk.size < 1 || chunk.size > MatchChunk::kCapacity) {
+      ++bad_chunks_[tid];
+      return;
+    }
+    for (uint32_t i = 0; i < chunk.size; ++i) {
+      pairs_[tid].emplace_back(chunk.build_payload[i], chunk.probe_payload[i]);
+    }
+  }
+  uint64_t BadChunks() const {
+    uint64_t total = 0;
+    for (const uint64_t bad : bad_chunks_) total += bad;
+    return total;
   }
   std::vector<std::pair<uint32_t, uint32_t>> Sorted() const {
     std::vector<std::pair<uint32_t, uint32_t>> all;
@@ -162,6 +175,7 @@ class PairCollectorSink final : public MatchSink {
 
  private:
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> pairs_;
+  std::vector<uint64_t> bad_chunks_;
 };
 
 TEST_P(AllJoinsTest, MaterializedPairsExactlyMatchReference) {
@@ -175,6 +189,7 @@ TEST_P(AllJoinsTest, MaterializedPairsExactlyMatchReference) {
   config.num_threads = 4;
   config.sink = &sink;
   RunJoin(GetParam(), System(), config, build, probe).value();
+  EXPECT_EQ(sink.BadChunks(), 0u) << NameOf(GetParam());
   EXPECT_EQ(sink.Sorted(), expected) << NameOf(GetParam());
 }
 

@@ -31,11 +31,11 @@ ServiceOptions SmallServiceOptions(int num_lanes = 2) {
   return options;
 }
 
-// A sink whose Consume blocks every worker until Release(): holds a job
-// mid-probe so tests can pin a lane deterministically.
+// A sink whose ConsumeChunk blocks every worker until Release(): holds a
+// job mid-probe so tests can pin a lane deterministically.
 class GateSink final : public join::MatchSink {
  public:
-  void Consume(int /*tid*/, Tuple /*build*/, Tuple /*probe*/) override {
+  void ConsumeChunk(int /*tid*/, const join::MatchChunk& /*chunk*/) override {
     std::unique_lock<std::mutex> lock(mutex_);
     entered_ = true;
     cv_.notify_all();
