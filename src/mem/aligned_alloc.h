@@ -6,6 +6,19 @@
 // `kSmall` advises the kernel against huge pages, `kHuge` advises for them,
 // `kDefault` leaves the system policy alone. On platforms without madvise the
 // request degrades to plain aligned allocation.
+//
+// Large requests (>= 1 MiB) are mmap-backed, and freeing one does not unmap
+// it: the mapping goes onto one process-wide retained list, and the next
+// request with exactly the same mapping length, page policy and alignment
+// gets it back without an mmap. A join that runs again on inputs of the same
+// size therefore finds its partition buffers and tables already faulted in
+// -- the paper's buffer-manager assumption (Section 5.1). The list is
+// bounded without a knob: mapped plus retained bytes (each mapping counted
+// by its prefaulted part, the request rounded up to 4 KB) never exceed the
+// process's own high-water mark of mapped bytes, and a miss evicts the
+// oldest retained mappings (munmap) until the new mapping fits under
+// max(high-water mark, mapped + request). Only a fresh mapping is
+// prefaulted (one touch per 4 KB page, in the allocating thread).
 
 #ifndef MMJOIN_MEM_ALIGNED_ALLOC_H_
 #define MMJOIN_MEM_ALIGNED_ALLOC_H_
@@ -31,7 +44,8 @@ inline constexpr std::size_t kHugePageSize = 2 * 1024 * 1024;
 // the bench harness surfaces in its `[alloc]` summary line.
 struct AllocStats {
   uint64_t total_allocations = 0;
-  uint64_t mmap_allocations = 0;
+  uint64_t mmap_allocations = 0;     // real mmap calls that succeeded
+  uint64_t reused_mappings = 0;      // requests served by a retained mapping
   uint64_t huge_page_requests = 0;
   uint64_t huge_page_fallbacks = 0;  // MADV_HUGEPAGE refused/unavailable
   uint64_t mmap_failures = 0;        // real mmap/posix_memalign failures
@@ -39,6 +53,13 @@ struct AllocStats {
   uint64_t numa_degradations = 0;    // NUMA placement unavailable -> local
   uint64_t current_bytes = 0;        // bytes allocated and not yet freed
   uint64_t peak_bytes = 0;           // high-water mark of current_bytes
+  // Allocator state, not counters (ResetAllocStats leaves them alone): the
+  // prefaulted bytes (request rounded up to 4 KB) of the mappings callers
+  // hold and of those on the retained list, and the high-water mark of
+  // mapped_bytes that bounds mapped + retained.
+  uint64_t mapped_bytes = 0;
+  uint64_t retained_bytes = 0;
+  uint64_t mapped_high_water = 0;
 };
 
 AllocStats GetAllocStats();
@@ -62,23 +83,21 @@ void ResetPeakResident();
 // requested placement cannot be honored and is downgraded to local).
 void CountNumaDegradation();
 
-// Allocates `bytes` aligned to `alignment` (power of two, >= 64). Memory is
-// zero-initialized lazily by the OS (mmap-backed for large requests).
-// Reports out-of-memory (real, or injected via the `alloc.mmap` failpoint)
-// as ResourceExhausted. A huge-page request whose madvise fails degrades to
+// Allocates `bytes` aligned to `alignment` (power of two, >= 64). The
+// memory is resident on return but its contents are unspecified: a reused
+// mapping holds whatever its previous owner wrote, so callers initialize
+// before they read. Reports out-of-memory (real, or injected via the
+// `alloc.mmap` failpoint, which is checked before the retained list) as
+// ResourceExhausted. A huge-page request whose madvise fails degrades to
 // default pages (counted in AllocStats) -- that path still succeeds.
 StatusOr<void*> TryAllocateAligned(std::size_t bytes, std::size_t alignment,
                                    PagePolicy policy);
 
 // Frees memory obtained from TryAllocateAligned. `bytes` must match the
-// original request.
+// original request. A large mapping is retained for reuse (see above); under
+// ASan it stays poisoned until reused, so a dangling pointer still reports
+// use-after-free.
 void FreeAligned(void* ptr, std::size_t bytes);
-
-// Touches every page of [ptr, ptr+bytes) so that physical pages are mapped
-// before timed runs begin -- the paper's "memory allocation locality"
-// assumption (Section 5.1): a DBMS buffer manager would have faulted the
-// pages in already.
-void PrefaultPages(void* ptr, std::size_t bytes);
 
 }  // namespace mmjoin::mem
 

@@ -75,7 +75,6 @@ StatusOr<void*> NumaSystem::TryAllocate(std::size_t bytes,
   }
   MMJOIN_ASSIGN_OR_RETURN(
       void* ptr, mem::TryAllocateAligned(bytes, alignment, page_policy_));
-  mem::PrefaultPages(ptr, bytes);
 
   Region region{reinterpret_cast<std::uintptr_t>(ptr), bytes, placement,
                 home_node};

@@ -53,10 +53,12 @@ class NumaSystem {
   // and never flip it live.
   void set_page_policy(mem::PagePolicy policy) { page_policy_ = policy; }
 
-  // Allocates `bytes` with the given placement, registers the region, and
-  // prefaults the pages (buffer-manager assumption, paper Section 5.1).
-  // Aborts on allocation failure (for harness-owned inputs and tables;
-  // prefer TryAllocate).
+  // Allocates `bytes` with the given placement and registers the region.
+  // The pages are resident on return (buffer-manager assumption, paper
+  // Section 5.1): mem::TryAllocateAligned either reuses a retained mapping
+  // that is already faulted in or prefaults a fresh one. The contents are
+  // unspecified. Aborts on allocation failure (for harness-owned inputs and
+  // tables; prefer TryAllocate).
   void* Allocate(std::size_t bytes, Placement placement, int home_node = 0,
                  std::size_t alignment = kCacheLineSize);
 

@@ -21,6 +21,7 @@
 #define MMJOIN_COUNTER_REGISTRY(X)  \
   X("alloc.total_allocations")      \
   X("alloc.mmap_allocations")       \
+  X("alloc.reused_mappings")        \
   X("alloc.huge_page_requests")     \
   X("alloc.huge_page_fallbacks")    \
   X("alloc.mmap_failures")          \
@@ -28,6 +29,7 @@
   X("alloc.numa_degradations")      \
   X("mem.current_bytes")            \
   X("mem.peak_bytes")               \
+  X("mem.retained_bytes")           \
   X("mem.budget_reservations")      \
   X("mem.budget_rejections")        \
   X("mem.budget_replans")           \

@@ -1,11 +1,25 @@
 #include "util/cli.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "util/macros.h"
-
 namespace mmjoin {
+namespace {
+
+// A value that does not parse is a usage error, not a crash.
+[[noreturn]] void Malformed(const std::string& program,
+                            const std::string& name,
+                            const std::string& text) {
+  std::fprintf(stderr,
+               "%s: malformed value for --%s: '%s'\n"
+               "usage: %s [--name=value | --name value | --name] ...\n",
+               program.c_str(), name.c_str(), text.c_str(), program.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 CommandLine::CommandLine(int argc, char** argv) {
   program_name_ = argc > 0 ? argv[0] : "";
@@ -46,8 +60,11 @@ int64_t CommandLine::GetInt(const std::string& name, int64_t def) const {
   const Flag* flag = Find(name);
   if (flag == nullptr) return def;
   char* end = nullptr;
+  errno = 0;
   const int64_t value = std::strtoll(flag->value.c_str(), &end, 0);
-  MMJOIN_CHECK(end != nullptr && *end == '\0' && !flag->value.empty());
+  if (flag->value.empty() || *end != '\0' || errno == ERANGE) {
+    Malformed(program_name_, name, flag->value);
+  }
   return value;
 }
 
@@ -55,8 +72,11 @@ double CommandLine::GetDouble(const std::string& name, double def) const {
   const Flag* flag = Find(name);
   if (flag == nullptr) return def;
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(flag->value.c_str(), &end);
-  MMJOIN_CHECK(end != nullptr && *end == '\0' && !flag->value.empty());
+  if (flag->value.empty() || *end != '\0' || errno == ERANGE) {
+    Malformed(program_name_, name, flag->value);
+  }
   return value;
 }
 
@@ -67,8 +87,7 @@ bool CommandLine::GetBool(const std::string& name, bool def) const {
     return true;
   }
   if (flag->value == "false" || flag->value == "0") return false;
-  MMJOIN_CHECK(false && "boolean flag expects true/false/1/0");
-  return def;
+  Malformed(program_name_, name, flag->value);
 }
 
 std::string CommandLine::GetString(const std::string& name,

@@ -21,7 +21,11 @@ class CommandLine {
   // and positional arguments. All lookups are by name.
   CommandLine(int argc, char** argv);
 
-  // Typed accessors; `def` is returned when the flag was not supplied.
+  // Typed accessors; `def` is returned when the flag was not supplied. A
+  // value that does not parse as the type (`--threads=abc`, an out-of-range
+  // number, a boolean other than true/false/1/0) prints
+  // "malformed value for --<name>: '<text>'" and a usage line to stderr and
+  // exits the process with status 2.
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;

@@ -50,4 +50,14 @@ namespace mmjoin {
 #define MMJOIN_ALWAYS_INLINE inline
 #endif
 
+// Defined when AddressSanitizer instruments this translation unit (GCC
+// spells the test __SANITIZE_ADDRESS__, Clang __has_feature).
+#if defined(__SANITIZE_ADDRESS__)
+#define MMJOIN_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MMJOIN_ASAN 1
+#endif
+#endif
+
 #endif  // MMJOIN_UTIL_MACROS_H_

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "core/joiner.h"
 #include "join/join_algorithm.h"
 #include "join/reference.h"
+#include "mem/aligned_alloc.h"
 #include "numa/system.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -139,6 +143,83 @@ TEST(DifferentialSkewTest, ZipfThetaAboveOneMatchesReference) {
     ASSERT_EQ(result.matches, expected.matches) << NameOf(algorithm);
     ASSERT_EQ(result.checksum, expected.checksum) << NameOf(algorithm);
   }
+}
+
+// A walk over all n * n ordered pairs (a, b), self-pairs included, each
+// once: an Eulerian circuit of the complete digraph with loops (Hierholzer).
+// Consecutive entries of the n * n + 1 returned nodes are the pairs.
+std::vector<int> AllOrderedPairsWalk(int n) {
+  std::vector<int> next_successor(n, 0);
+  std::vector<int> stack = {0};
+  std::vector<int> walk;
+  while (!stack.empty()) {
+    const int node = stack.back();
+    if (next_successor[node] < n) {
+      stack.push_back(next_successor[node]++);
+    } else {
+      walk.push_back(node);
+      stack.pop_back();
+    }
+  }
+  std::reverse(walk.begin(), walk.end());
+  return walk;
+}
+
+// Stale-memory differential: a freed buffer above the mmap threshold is
+// retained and handed back on an exact fit without being cleared, so a
+// kernel that read a buffer before writing it would see the previous join's
+// data. On one Joiner every algorithm runs right after every other (all
+// 13 x 13 ordered pairs, walked once each); consecutive runs alternate
+// between two input sets of the same size under different seeds, so a run
+// reuses its predecessor's mappings wherever the sizes fit. |R| = 200K and
+// |S| = 800K put the buffers on the mmap path. Dense builds of one size
+// hold the same keys under any seed, so each input set also salts its build
+// payloads: a stale build tuple changes the checksum.
+TEST(DifferentialStaleMemoryTest, EveryAlgorithmAfterEveryOther) {
+  core::Joiner joiner;
+  constexpr uint64_t kBuild = 200000;
+  constexpr uint64_t kProbe = 800000;
+  struct Inputs {
+    workload::Relation build;
+    workload::Relation probe;
+    JoinResult expected;
+  };
+  const auto make_inputs = [&](uint64_t seed, uint32_t payload_salt) {
+    Inputs inputs;
+    inputs.build =
+        workload::MakeDenseBuild(joiner.system(), kBuild, seed).value();
+    for (uint64_t i = 0; i < inputs.build.size(); ++i) {
+      inputs.build.data()[i].payload ^= payload_salt;
+    }
+    inputs.probe = workload::MakeProbeFromBuild(joiner.system(), kProbe,
+                                                inputs.build, seed + 1)
+                       .value();
+    inputs.expected =
+        ReferenceJoin(inputs.build.cspan(), inputs.probe.cspan());
+    return inputs;
+  };
+  const Inputs inputs[2] = {make_inputs(0x57A1Eu, 0),
+                            make_inputs(0xF2E5Bu, 0x5A5A5A5Au)};
+
+  const std::vector<Algorithm>& algorithms = AllAlgorithms();
+  const int n = static_cast<int>(algorithms.size());
+  const std::vector<int> walk = AllOrderedPairsWalk(n);
+  ASSERT_EQ(walk.size(), static_cast<std::size_t>(n * n + 1));
+
+  const uint64_t reused_before = mem::GetAllocStats().reused_mappings;
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    const Algorithm algorithm = algorithms[walk[i]];
+    const Inputs& in = inputs[i % 2];
+    const std::string label =
+        std::string(NameOf(algorithm)) + " after " +
+        (i == 0 ? std::string("nothing")
+                : std::string(NameOf(algorithms[walk[i - 1]])));
+    const JoinResult result =
+        joiner.Run(algorithm, in.build, in.probe).value();
+    EXPECT_EQ(result.matches, in.expected.matches) << label;
+    EXPECT_EQ(result.checksum, in.expected.checksum) << label;
+  }
+  EXPECT_GT(mem::GetAllocStats().reused_mappings, reused_before);
 }
 
 }  // namespace

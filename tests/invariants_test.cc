@@ -36,7 +36,8 @@ TEST(InvariantDeathTest, CliRejectsMalformedInteger) {
   UseThreadsafeDeathTests();
   const char* argv[] = {"prog", "--threads=abc"};
   CommandLine cli(2, const_cast<char**>(argv));
-  EXPECT_DEATH(cli.GetInt("threads", 1), "check failed");
+  EXPECT_EXIT(cli.GetInt("threads", 1), ::testing::ExitedWithCode(2),
+              "malformed value for --threads: 'abc'");
 }
 
 TEST(InvariantDeathTest, NumaFreeOfUnknownPointerAborts) {

@@ -140,6 +140,23 @@ TEST(Cli, ParsesDoublesAndBools) {
   EXPECT_FALSE(cli.GetBool("huge", true));
 }
 
+TEST(Cli, MalformedValuesExitWithUsage) {
+  const char* argv[] = {"prog", "--threads=abc", "--theta=0.5x",
+                        "--huge=maybe", "--size=99999999999999999999",
+                        "--bare"};
+  CommandLine cli(6, const_cast<char**>(argv));
+  EXPECT_EXIT(cli.GetInt("threads", 4), ::testing::ExitedWithCode(2),
+              "malformed value for --threads: 'abc'\nusage: prog");
+  EXPECT_EXIT(cli.GetDouble("theta", 0.0), ::testing::ExitedWithCode(2),
+              "malformed value for --theta: '0.5x'");
+  EXPECT_EXIT(cli.GetBool("huge", false), ::testing::ExitedWithCode(2),
+              "malformed value for --huge: 'maybe'");
+  EXPECT_EXIT(cli.GetInt("size", 0), ::testing::ExitedWithCode(2),
+              "malformed value for --size: '99999999999999999999'");
+  EXPECT_EXIT(cli.GetInt("bare", 0), ::testing::ExitedWithCode(2),
+              "malformed value for --bare: ''");
+}
+
 TEST(Cli, CollectsPositional) {
   const char* argv[] = {"prog", "one", "--k=1", "two"};
   CommandLine cli(4, const_cast<char**>(argv));
