@@ -98,6 +98,6 @@ void BM_MultiwayMerge(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * per_run * k);
 }
-BENCHMARK(BM_MultiwayMerge)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_MultiwayMerge)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64)->Arg(128);
 
 }  // namespace

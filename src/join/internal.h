@@ -17,6 +17,7 @@
 #include "numa/system.h"
 #include "obs/metrics.h"
 #include "obs/phase_profile.h"
+#include "partition/model.h"
 #include "thread/executor.h"
 #include "thread/task_queue.h"
 #include "util/annotations.h"
@@ -35,6 +36,9 @@ inline thread::Executor& ExecutorOf(const JoinConfig& config) {
   return config.executor != nullptr ? *config.executor
                                     : thread::GlobalExecutor();
 }
+
+// The host's caches, read from sysfs once per process.
+const partition::CacheSpec& HostCacheSpec();
 
 // Cooperative failure flag for barrier-synchronized worker closures. A
 // worker that hits a failure *before* a barrier records it here and still

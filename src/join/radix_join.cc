@@ -45,12 +45,6 @@ namespace {
 
 using partition::ChunkedLayout;
 
-// The host's caches, read from sysfs once per process.
-const partition::CacheSpec& HostCacheSpec() {
-  static const partition::CacheSpec spec = partition::DetectHostCacheSpec();
-  return spec;
-}
-
 uint64_t MaxPartitionSize(const ChunkedLayout& layout) {
   uint64_t max_size = 0;
   for (uint32_t p = 0; p < layout.num_partitions; ++p) {
@@ -557,6 +551,11 @@ class RadixJoinRun {
 };
 
 }  // namespace
+
+const partition::CacheSpec& HostCacheSpec() {
+  static const partition::CacheSpec spec = partition::DetectHostCacheSpec();
+  return spec;
+}
 
 StatusOr<JoinResult> RunRadixJoin(Algorithm algorithm,
                                   numa::NumaSystem* system,

@@ -316,19 +316,6 @@ AllocStats GetAllocStats() {
   return out;
 }
 
-void ResetAllocStats() {
-  g_alloc_stats.total_allocations.store(0, std::memory_order_relaxed);
-  g_alloc_stats.mmap_allocations.store(0, std::memory_order_relaxed);
-  g_alloc_stats.reused_mappings.store(0, std::memory_order_relaxed);
-  g_alloc_stats.huge_page_requests.store(0, std::memory_order_relaxed);
-  g_alloc_stats.huge_page_fallbacks.store(0, std::memory_order_relaxed);
-  g_alloc_stats.mmap_failures.store(0, std::memory_order_relaxed);
-  g_alloc_stats.injected_failures.store(0, std::memory_order_relaxed);
-  g_alloc_stats.numa_degradations.store(0, std::memory_order_relaxed);
-  g_alloc_stats.current_bytes.store(0, std::memory_order_relaxed);
-  g_alloc_stats.peak_bytes.store(0, std::memory_order_relaxed);
-}
-
 void ResetPeakResident() {
   g_alloc_stats.peak_bytes.store(
       g_alloc_stats.current_bytes.load(std::memory_order_relaxed),

@@ -53,17 +53,16 @@ struct AllocStats {
   uint64_t numa_degradations = 0;    // NUMA placement unavailable -> local
   uint64_t current_bytes = 0;        // bytes allocated and not yet freed
   uint64_t peak_bytes = 0;           // high-water mark of current_bytes
-  // Allocator state, not counters (ResetAllocStats leaves them alone): the
-  // prefaulted bytes (request rounded up to 4 KB) of the mappings callers
-  // hold and of those on the retained list, and the high-water mark of
-  // mapped_bytes that bounds mapped + retained.
+  // Allocator state, not counters: the prefaulted bytes (request rounded
+  // up to 4 KB) of the mappings callers hold and of those on the retained
+  // list, and the high-water mark of mapped_bytes that bounds mapped +
+  // retained.
   uint64_t mapped_bytes = 0;
   uint64_t retained_bytes = 0;
   uint64_t mapped_high_water = 0;
 };
 
 AllocStats GetAllocStats();
-void ResetAllocStats();
 
 // Resets the resident high-water mark to the current resident level (keeps
 // current_bytes intact). Callers measuring one join's peak bracket the run

@@ -232,6 +232,26 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(NameOf(info.param));
     });
 
+// --- MWAY at full fan-in ------------------------------------------------------
+
+// One thread sorts the whole of S as one co-partition: 2.5M tuples are 77
+// runs, so the merge tree has MWAY's real fan-in, and its FIFOs are carved
+// out of the partition buffer.
+TEST(MwayJoin, SeventySevenRunsInOnePartition) {
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), 250000, 31).value();
+  JoinConfig config;
+  config.num_threads = 1;
+  workload::Relation uniform =
+      workload::MakeUniformProbe(System(), 2500000, 250000, 32).value();
+  ExpectMatchesReference(Algorithm::kMWAY, build, uniform, config,
+                         "77 runs, uniform");
+  workload::Relation zipf =
+      workload::MakeZipfProbe(System(), 2500000, 250000, 0.85, 33).value();
+  ExpectMatchesReference(Algorithm::kMWAY, build, zipf, config,
+                         "77 runs, Zipf 0.85");
+}
+
 // --- Registry metadata ------------------------------------------------------
 
 TEST(Registry, ThirteenAlgorithms) {
