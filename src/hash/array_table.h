@@ -30,10 +30,22 @@ class ArrayTable {
   ArrayTable(numa::NumaSystem* system, uint64_t domain_size,
              uint32_t key_shift, numa::Placement placement, int home_node = 0)
       : key_shift_(key_shift),
-        domain_size_(std::max<uint64_t>(domain_size, 1)),
+        domain_size_(SlotsFor(domain_size)),
         payloads_(system, domain_size_, placement, home_node),
         valid_(system, CeilDiv(domain_size_, 64), placement, home_node) {
     Clear();
+  }
+
+  // Key slots for `domain_size` (at least one), and the bytes a table
+  // constructed for them allocates: payloads plus the validity bitmap.
+  static uint64_t SlotsFor(uint64_t domain_size) {
+    return std::max<uint64_t>(domain_size, 1);
+  }
+  static uint64_t BytesFor(uint64_t domain_size) {
+    const uint64_t slots = SlotsFor(domain_size);
+    return numa::NumaBuffer<uint32_t>::BytesFor(slots) +
+           numa::NumaBuffer<std::atomic<uint64_t>>::BytesFor(
+               CeilDiv(slots, 64));
   }
 
   ArrayTable(const ArrayTable&) = delete;
@@ -48,7 +60,7 @@ class ArrayTable {
   // Shrinks the active domain for scratch reuse across join tasks.
   void Reset(uint64_t domain_size, uint32_t key_shift) {
     MMJOIN_CHECK(domain_size <= payloads_.size());
-    domain_size_ = std::max<uint64_t>(domain_size, 1);
+    domain_size_ = SlotsFor(domain_size);
     key_shift_ = key_shift;
     const uint64_t words = CeilDiv(domain_size_, 64);
     for (uint64_t i = 0; i < words; ++i) {
@@ -101,13 +113,8 @@ class ArrayTable {
     return Probe(key, emit);
   }
 
-  uint64_t domain_size() const { return domain_size_; }
   // Base address of the payload array (for NUMA traffic attribution).
   const void* raw_data() const { return payloads_.data(); }
-  uint64_t memory_bytes() const {
-    return payloads_.size() * sizeof(uint32_t) +
-           valid_.size() * sizeof(uint64_t);
-  }
 
  private:
   uint32_t key_shift_;

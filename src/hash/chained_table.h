@@ -42,13 +42,26 @@ class ChainedHashTable {
                    numa::Placement placement, int home_node = 0,
                    Hash hasher = Hash{})
       : hasher_(hasher),
-        num_buckets_(
-            NextPowerOfTwo(std::max<uint64_t>(CeilDiv(expected_tuples, 2), 8))),
+        num_buckets_(BucketsFor(expected_tuples)),
         mask_(num_buckets_ - 1),
         buckets_(system, num_buckets_, placement, home_node),
-        overflow_(system, CeilDiv(expected_tuples, 2) + 1, placement,
+        overflow_(system, OverflowBucketsFor(expected_tuples), placement,
                   home_node) {
     Clear();
+  }
+
+  // Directory and overflow-pool buckets for `expected_tuples`, and the bytes
+  // a table constructed for them allocates.
+  static uint64_t BucketsFor(uint64_t expected_tuples) {
+    return NextPowerOfTwo(std::max<uint64_t>(CeilDiv(expected_tuples, 2), 8));
+  }
+  static uint64_t OverflowBucketsFor(uint64_t expected_tuples) {
+    return CeilDiv(expected_tuples, 2) + 1;
+  }
+  static uint64_t BytesFor(uint64_t expected_tuples) {
+    return numa::NumaBuffer<Bucket>::BytesFor(BucketsFor(expected_tuples)) +
+           numa::NumaBuffer<Bucket>::BytesFor(
+               OverflowBucketsFor(expected_tuples));
   }
 
   ChainedHashTable(const ChainedHashTable&) = delete;
@@ -66,10 +79,9 @@ class ChainedHashTable {
   // Shrinks the active directory to fit `expected_tuples` and clears it
   // (scratch-table reuse across join tasks).
   void Reset(uint64_t expected_tuples) {
-    const uint64_t wanted =
-        NextPowerOfTwo(std::max<uint64_t>(CeilDiv(expected_tuples, 2), 8));
+    const uint64_t wanted = BucketsFor(expected_tuples);
     MMJOIN_CHECK(wanted <= buckets_.size());
-    MMJOIN_CHECK(CeilDiv(expected_tuples, 2) + 1 <= overflow_.size());
+    MMJOIN_CHECK(OverflowBucketsFor(expected_tuples) <= overflow_.size());
     num_buckets_ = wanted;
     mask_ = num_buckets_ - 1;
     Clear();
@@ -143,9 +155,6 @@ class ChainedHashTable {
   const void* raw_data() const { return buckets_.data(); }
   uint64_t overflow_buckets_used() const {
     return overflow_used_.load(std::memory_order_relaxed);
-  }
-  uint64_t memory_bytes() const {
-    return (num_buckets_ + overflow_.size()) * sizeof(Bucket);
   }
 
  private:

@@ -10,11 +10,10 @@ ConciseHashTable::ConciseHashTable(numa::NumaSystem* system,
                                    IdentityHash hasher)
     : hasher_(hasher),
       num_tuples_(num_tuples),
-      num_buckets_(NextPowerOfTwo(std::max<uint64_t>(num_tuples * 8, 64))),
+      num_buckets_(BucketsFor(num_tuples)),
       bucket_mask_(num_buckets_ - 1),
       groups_(system, num_buckets_ / 64, placement, home_node),
-      array_(system, std::max<uint64_t>(num_tuples, 1), placement,
-             home_node) {
+      array_(system, SlotsFor(num_tuples), placement, home_node) {
   for (auto& group : groups_) {
     group.bits = 0;
     group.prefix = 0;

@@ -18,6 +18,7 @@
 #ifndef MMJOIN_HASH_CONCISE_TABLE_H_
 #define MMJOIN_HASH_CONCISE_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -53,6 +54,20 @@ class ConciseHashTable {
   ConciseHashTable(numa::NumaSystem* system, uint64_t num_tuples,
                    numa::Placement placement, int home_node = 0,
                    IdentityHash hasher = IdentityHash{});
+
+  // Bitmap buckets and dense-array slots for `num_tuples`, and the bytes
+  // the constructor allocates for them. The overflow table is a heap vector
+  // filled by the build.
+  static uint64_t BucketsFor(uint64_t num_tuples) {
+    return NextPowerOfTwo(std::max<uint64_t>(num_tuples * 8, 64));
+  }
+  static uint64_t SlotsFor(uint64_t num_tuples) {
+    return std::max<uint64_t>(num_tuples, 1);
+  }
+  static uint64_t BytesFor(uint64_t num_tuples) {
+    return numa::NumaBuffer<Group>::BytesFor(BucketsFor(num_tuples) / 64) +
+           numa::NumaBuffer<Tuple>::BytesFor(SlotsFor(num_tuples));
+  }
 
   ConciseHashTable(const ConciseHashTable&) = delete;
   ConciseHashTable& operator=(const ConciseHashTable&) = delete;
@@ -140,10 +155,6 @@ class ConciseHashTable {
   }
 
   uint64_t overflow_size() const { return overflow_.size(); }
-  uint64_t memory_bytes() const {
-    return groups_.size() * sizeof(Group) + array_.size() * sizeof(Tuple) +
-           overflow_.size() * sizeof(uint64_t);
-  }
 
  private:
   template <typename Emit>

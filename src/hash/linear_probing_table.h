@@ -38,10 +38,20 @@ class LinearProbingTable {
                      numa::Placement placement, int home_node = 0,
                      Hash hasher = Hash{})
       : hasher_(hasher),
-        capacity_(NextPowerOfTwo(std::max<uint64_t>(expected_tuples * 2, 16))),
+        capacity_(SlotsFor(expected_tuples)),
         mask_(capacity_ - 1),
         slots_(system, capacity_, placement, home_node) {
     Clear();
+  }
+
+  // Slots for `expected_tuples` at load factor <= 0.5, and the bytes a table
+  // constructed for them allocates.
+  static uint64_t SlotsFor(uint64_t expected_tuples) {
+    return NextPowerOfTwo(std::max<uint64_t>(expected_tuples * 2, 16));
+  }
+  static uint64_t BytesFor(uint64_t expected_tuples) {
+    return numa::NumaBuffer<std::atomic<uint64_t>>::BytesFor(
+        SlotsFor(expected_tuples));
   }
 
   // Non-copyable (owns NUMA memory).
@@ -59,8 +69,7 @@ class LinearProbingTable {
   // tasks without reallocating: partition joins size the scratch for the
   // largest partition and Reset() per co-partition.
   void Reset(uint64_t expected_tuples) {
-    const uint64_t wanted =
-        NextPowerOfTwo(std::max<uint64_t>(expected_tuples * 2, 16));
+    const uint64_t wanted = SlotsFor(expected_tuples);
     MMJOIN_CHECK(wanted <= slots_.size());
     capacity_ = wanted;
     mask_ = capacity_ - 1;
@@ -133,7 +142,6 @@ class LinearProbingTable {
   }
 
   uint64_t capacity() const { return capacity_; }
-  uint64_t memory_bytes() const { return capacity_ * sizeof(uint64_t); }
   // Base address of the slot array (for NUMA traffic attribution).
   const void* raw_data() const { return slots_.data(); }
 

@@ -9,7 +9,7 @@
 // no-partitioning: partitions never form independent co-group joins.
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "hash/concise_table.h"
@@ -27,15 +27,6 @@ StatusOr<JoinResult> RunChtJoin(numa::NumaSystem* system,
   const int num_threads = config.num_threads;
 
   if (BuildAllocFailpoint()) return InjectedAllocError("build");
-
-  // Check-and-reject budget path: CHTJ's working set is one indivisible
-  // global CHT plus build-sized side arrays -- roughly 8 B dense tuple
-  // array + 8 B partition buffer + 8 B bucket_of + ~2 B bitmap per build
-  // tuple. Either that fits the budget or the join rejects up front.
-  MMJOIN_ASSIGN_OR_RETURN(
-      mem::BudgetReservation budget_hold,
-      mem::BudgetReservation::Acquire(config.budget, build.size() * 26,
-                                      "CHTJ concise hash table"));
 
   // Allocate + prefault all working memory before timing (buffer-manager
   // assumption, Section 5.1).
@@ -59,6 +50,12 @@ StatusOr<JoinResult> RunChtJoin(numa::NumaSystem* system,
       TryBuffer<Tuple>(system, build.size(),
                        numa::Placement::kInterleavedPages,
                        "CHTJ partition buffer"));
+  // Each partitioned tuple's bucket: MarkBits writes it, Place reads it.
+  MMJOIN_ASSIGN_OR_RETURN(
+      numa::NumaBuffer<uint64_t> bucket_of,
+      TryBuffer<uint64_t>(system, build.size(),
+                          numa::Placement::kInterleavedPages,
+                          "CHTJ bucket map"));
   partition::RadixOptions options;
   options.fn = region_fn;
   options.use_swwcb = true;
@@ -67,7 +64,6 @@ StatusOr<JoinResult> RunChtJoin(numa::NumaSystem* system,
       system, options, build,
       TupleSpan(partitioned.data(), partitioned.size()));
 
-  std::vector<uint64_t> bucket_of(build.size());
   std::vector<std::vector<Tuple>> overflows(num_threads);
   std::vector<ThreadStats> stats(num_threads);
   MatchSink* sink = config.sink;

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "hash/array_table.h"
+#include "hash/linear_probing_table.h"
 #include "join/join_defs.h"
 #include "mem/budget.h"
 #include "numa/system.h"
@@ -198,19 +200,8 @@ inline Status InjectedAllocError(const char* phase) {
 
 // Forces the radix joins onto the spill-wave degradation path regardless of
 // the budget arithmetic, so tests can drive stage 2 deterministically (see
-// docs/ROBUSTNESS.md). Evaluated only by PlanRadixJoin.
+// docs/ROBUSTNESS.md). Evaluated only by PlanJoin.
 inline bool WaveBudgetFailpoint() { return MMJOIN_FAILPOINT("budget.wave"); }
-
-// Stage-3 rejection: even maximum degradation (bit escalation, one pass,
-// kMaxSpillWaves) cannot fit the budget.
-inline Status BudgetInfeasibleError(const char* algorithm, uint64_t needed,
-                                    uint64_t budget) {
-  return ResourceExhaustedError(
-      std::string(algorithm) +
-      ": memory budget infeasible after all degradation stages (needs >= " +
-      std::to_string(needed) + " bytes, budget " + std::to_string(budget) +
-      ")");
-}
 
 // NumaBuffer::TryCreate with the allocator's status tagged by phase: the
 // code and message pass through, prefixed with `what`.
@@ -391,12 +382,12 @@ void ProbeRange(const Table& table, const Tuple* probe, uint64_t begin,
 
 // The join drivers RunJoin (registry.cc) dispatches to, one translation
 // unit each. They assume a validated config and leave the run protocol
-// (failpoint gate, run-local budget tracker, join.* metrics) to RunJoin.
+// (failpoint gate, plan, budget reservation, join.* metrics) to RunJoin.
 //
-// NOP and NOPA: one driver over the table flavour (nop_join.cc).
-struct NopLinearOps;
-struct NopArrayOps;
-template <typename Ops>
+// NOP and NOPA: one driver over the global table, a NopLinearTable or a
+// hash::ArrayTable (nop_join.cc).
+using NopLinearTable = hash::LinearProbingTable<hash::IdentityHash>;
+template <typename Table>
 StatusOr<JoinResult> RunNopJoin(numa::NumaSystem* system,
                                 const JoinConfig& config, ConstTupleSpan build,
                                 ConstTupleSpan probe, uint64_t key_domain);
@@ -408,11 +399,11 @@ StatusOr<JoinResult> RunMwayJoin(numa::NumaSystem* system,
                                  ConstTupleSpan build, ConstTupleSpan probe,
                                  uint64_t key_domain);
 // The nine partition-based joins (PR*, CPR*), all in radix_join.cc.
-StatusOr<JoinResult> RunRadixJoin(Algorithm algorithm,
+struct JoinPlan;
+StatusOr<JoinResult> RunRadixJoin(const JoinPlan& plan,
                                   numa::NumaSystem* system,
                                   const JoinConfig& config,
-                                  ConstTupleSpan build, ConstTupleSpan probe,
-                                  uint64_t key_domain);
+                                  ConstTupleSpan build, ConstTupleSpan probe);
 
 }  // namespace mmjoin::join::internal
 

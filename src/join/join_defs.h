@@ -161,10 +161,10 @@ struct JoinConfig {
   // Per-join memory budget in bytes -- the one place a join's budget is
   // set. nullopt = unbounded. When set (and no tracker is supplied below),
   // RunJoin creates a run-local mem::BudgetTracker for the duration of the
-  // join. The PR*/CPR* family degrades gracefully under a tight budget
-  // (re-plan radix bits / passes, then sequential spill waves); the other
-  // algorithms check-and-reject with ResourceExhausted. See
-  // docs/ROBUSTNESS.md "Memory budgets".
+  // join and reserves the join's plan -- the bytes its tables and buffers
+  // allocate -- once. PR*/CPR* degrade under a tight budget (radix bits,
+  // passes, spill waves); the others admit or reject (ResourceExhausted)
+  // their indivisible working set. See docs/ROBUSTNESS.md "Memory budgets".
   std::optional<uint64_t> mem_budget_bytes;
   // Externally owned tracker (e.g. a per-tenant budget shared by several
   // joins). Takes precedence over mem_budget_bytes. Not owned.

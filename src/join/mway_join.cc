@@ -13,7 +13,6 @@
 //    side from whichever buffer its sort finished in.
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -125,26 +124,14 @@ StatusOr<JoinResult> RunMwayJoin(numa::NumaSystem* system,
                                  uint64_t key_domain) {
   const int num_threads = config.num_threads;
 
-  const uint64_t domain = InferKeyDomain(build, key_domain);
   const uint32_t bits =
       FloorLog2(NextPowerOfTwo(static_cast<uint64_t>(num_threads)));
-  const uint32_t domain_bits = CeilLog2(std::max<uint64_t>(domain, 2));
+  const uint32_t domain_bits = CeilLog2(std::max<uint64_t>(key_domain, 2));
   const uint32_t shift = domain_bits > bits ? domain_bits - bits : 0;
   const partition::RadixFn fn{shift, bits};
   const uint32_t num_partitions = fn.num_partitions();
 
   if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
-
-  // Check-and-reject budget path: MWAY materializes both relations into
-  // partition buffers (8 B/tuple) plus packed sort buffers and merge
-  // scratch (8 B/tuple each) -- 24 B per input tuple total. The sort/merge
-  // pipeline needs all of it live at once, so there is no graceful
-  // degradation stage for MWAY.
-  MMJOIN_ASSIGN_OR_RETURN(
-      mem::BudgetReservation budget_hold,
-      mem::BudgetReservation::Acquire(
-          config.budget, (build.size() + probe.size()) * 24,
-          "MWAY partition + sort buffers"));
 
   MMJOIN_ASSIGN_OR_RETURN(
       numa::NumaBuffer<Tuple> r_part,

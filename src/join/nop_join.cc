@@ -6,54 +6,18 @@
 // interleaved page-wise over all NUMA nodes for balanced memory bandwidth.
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "hash/array_table.h"
 #include "hash/linear_probing_table.h"
 #include "join/internal.h"
 #include "numa/system.h"
-#include "partition/model.h"
 #include "thread/thread_team.h"
 
 namespace mmjoin::join::internal {
 
-// TableOps adapts the two table flavours to one code path. TableBytes is
-// the check-and-reject budget estimate: NOP has one indivisible global
-// table, so there is no graceful degradation -- either the table fits the
-// budget or the join reports ResourceExhausted up front.
-struct NopLinearOps {
-  using Table = hash::LinearProbingTable<hash::IdentityHash>;
-  static std::unique_ptr<Table> Make(numa::NumaSystem* system,
-                                     ConstTupleSpan build,
-                                     uint64_t key_domain) {
-    return std::make_unique<Table>(system, build.size(),
-                                   numa::Placement::kInterleavedPages);
-  }
-  static uint64_t TableBytes(ConstTupleSpan build, uint64_t key_domain) {
-    return static_cast<uint64_t>(
-        partition::kLinearSpace.bytes_per_tuple *
-        static_cast<double>(build.size()));
-  }
-};
-
-struct NopArrayOps {
-  using Table = hash::ArrayTable;
-  static std::unique_ptr<Table> Make(numa::NumaSystem* system,
-                                     ConstTupleSpan build,
-                                     uint64_t key_domain) {
-    return std::make_unique<Table>(system,
-                                   InferKeyDomain(build, key_domain),
-                                   /*key_shift=*/0,
-                                   numa::Placement::kInterleavedPages);
-  }
-  static uint64_t TableBytes(ConstTupleSpan build, uint64_t key_domain) {
-    return static_cast<uint64_t>(
-        partition::kArraySpace.bytes_per_tuple *
-        static_cast<double>(InferKeyDomain(build, key_domain)));
-  }
-};
-
-template <typename Ops>
+template <typename Table>
 StatusOr<JoinResult> RunNopJoin(numa::NumaSystem* system,
                                 const JoinConfig& config, ConstTupleSpan build,
                                 ConstTupleSpan probe, uint64_t key_domain) {
@@ -65,19 +29,19 @@ StatusOr<JoinResult> RunNopJoin(numa::NumaSystem* system,
   if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
   if (BuildAllocFailpoint()) return InjectedAllocError("build");
 
-  // Check-and-reject budget path: reserve the global table's estimated
-  // footprint for the duration of the run (released when `budget_hold`
-  // leaves scope with the table).
-  MMJOIN_ASSIGN_OR_RETURN(
-      mem::BudgetReservation budget_hold,
-      mem::BudgetReservation::Acquire(config.budget,
-                                      Ops::TableBytes(build, key_domain),
-                                      "NOP global hash table"));
-
   // Working memory is allocated and prefaulted before timing starts: the
   // paper assumes a buffer manager has faulted pages in already
-  // (Section 5.1, "Memory Allocation Locality").
-  auto table = Ops::Make(system, build, key_domain);
+  // (Section 5.1, "Memory Allocation Locality"). NOPA's array covers
+  // `key_domain`, the domain RunJoin planned with.
+  auto table = [&] {
+    constexpr auto kPlacement = numa::Placement::kInterleavedPages;
+    if constexpr (std::is_same_v<Table, hash::ArrayTable>) {
+      return std::make_unique<Table>(system, key_domain, /*key_shift=*/0,
+                                     kPlacement);
+    } else {
+      return std::make_unique<Table>(system, build.size(), kPlacement);
+    }
+  }();
   RunClock clock(num_threads);
 
   std::vector<ThreadStats> stats(num_threads);
@@ -135,10 +99,10 @@ StatusOr<JoinResult> RunNopJoin(numa::NumaSystem* system,
   return result;
 }
 
-template StatusOr<JoinResult> RunNopJoin<NopLinearOps>(
+template StatusOr<JoinResult> RunNopJoin<NopLinearTable>(
     numa::NumaSystem*, const JoinConfig&, ConstTupleSpan, ConstTupleSpan,
     uint64_t);
-template StatusOr<JoinResult> RunNopJoin<NopArrayOps>(
+template StatusOr<JoinResult> RunNopJoin<hash::ArrayTable>(
     numa::NumaSystem*, const JoinConfig&, ConstTupleSpan, ConstTupleSpan,
     uint64_t);
 

@@ -1,5 +1,5 @@
 // The nine partition-based joins (paper Sections 3.1, 5, 6.1-6.2), each run
-// by executing its RadixJoinPlan (radix_plan.h):
+// by executing its JoinPlan (join_plan.h):
 //
 //   PRB    global two-pass, no SWWCB, chained tables, sequential task order
 //   PRO    global one-pass, SWWCB + NT streaming, chained tables
@@ -28,17 +28,15 @@
 #include "hash/chained_table.h"
 #include "hash/linear_probing_table.h"
 #include "join/internal.h"
-#include "join/radix_plan.h"
+#include "join/join_plan.h"
 #include "numa/system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/chunked.h"
-#include "partition/model.h"
 #include "partition/radix.h"
 #include "thread/task_queue.h"
 #include "thread/thread_team.h"
 #include "util/bits.h"
-#include "util/log.h"
 
 namespace mmjoin::join::internal {
 namespace {
@@ -72,7 +70,7 @@ struct Scratch {
   static constexpr bool kArray = std::is_same_v<Table, hash::ArrayTable>;
 
   Scratch(numa::NumaSystem* system, uint64_t max_tuples,
-          const RadixJoinPlan& plan_in, int node)
+          const JoinPlan& plan_in, int node)
       : table(Make(system, max_tuples, plan_in, node)), plan(plan_in) {}
 
   // Clears the table and inserts partition p (`size` tuples) fragment by
@@ -93,11 +91,11 @@ struct Scratch {
   }
 
   Table table;
-  const RadixJoinPlan& plan;
+  const JoinPlan& plan;
 
  private:
   static Table Make(numa::NumaSystem* system, uint64_t max_tuples,
-                    const RadixJoinPlan& plan, int node) {
+                    const JoinPlan& plan, int node) {
     if constexpr (kArray) {
       return Table(system, plan.partition_domain, plan.radix_bits,
                    numa::Placement::kLocal, node);
@@ -204,7 +202,7 @@ void SubPartition(numa::NumaSystem* system, int node, const Tuple* mid,
 //     range, so more slices than chunks would leave empty slices: cap there.
 Status SeedQueue(thread::ShardedTaskQueue* queue, SkewBuildSlots* slots,
                  numa::NumaSystem* system, const JoinConfig& config,
-                 const RadixJoinPlan& plan, const ChunkedLayout& s_layout,
+                 const JoinPlan& plan, const ChunkedLayout& s_layout,
                  uint64_t probe_size) {
   const numa::Topology& topology = system->topology();
   queue->BeginRun(topology.ActiveNodes(config.num_threads), system);
@@ -260,7 +258,7 @@ template <typename Table>
 class RadixJoinRun {
  public:
   RadixJoinRun(numa::NumaSystem* system, const JoinConfig& config,
-               const RadixJoinPlan& plan, ConstTupleSpan build,
+               const JoinPlan& plan, ConstTupleSpan build,
                ConstTupleSpan probe)
       : system_(system),
         config_(config),
@@ -525,7 +523,7 @@ class RadixJoinRun {
 
   numa::NumaSystem* const system_;
   const JoinConfig& config_;
-  const RadixJoinPlan& plan_;
+  const JoinPlan& plan_;
   const ConstTupleSpan build_;
   const ConstTupleSpan probe_;
   const int num_threads_;
@@ -552,63 +550,10 @@ class RadixJoinRun {
 
 }  // namespace
 
-const partition::CacheSpec& HostCacheSpec() {
-  static const partition::CacheSpec spec = partition::DetectHostCacheSpec();
-  return spec;
-}
-
-StatusOr<JoinResult> RunRadixJoin(Algorithm algorithm,
+StatusOr<JoinResult> RunRadixJoin(const JoinPlan& plan,
                                   numa::NumaSystem* system,
                                   const JoinConfig& config,
-                                  ConstTupleSpan build, ConstTupleSpan probe,
-                                  uint64_t key_domain) {
-  const uint64_t domain = InfoOf(algorithm).requires_dense_keys
-                              ? InferKeyDomain(build, key_domain)
-                              : key_domain;
-  const RadixJoinPlan plan = PlanRadixJoin(
-      algorithm, config, build.size(), probe.size(), domain, HostCacheSpec());
-
-  // Report the budget decisions (docs/ROBUSTNESS.md "Memory budgets") and
-  // reserve the planned working set for the whole run, so concurrent
-  // budgeted joins on a shared tracker are admitted against each other.
-  const char* name = NameOf(algorithm);
-  if (plan.budget_dropped_pass2) {
-    mem::CountBudgetReplan();
-    MMJOIN_LOG(kWarn, "budget.replan")
-        .Field("algo", name)
-        .Field("action", "drop_pass2")
-        .Field("budget_bytes", plan.budget_bytes);
-  }
-  if (!plan.feasible) {
-    return BudgetInfeasibleError(name, plan.planned_bytes,
-                                 plan.budget_bytes);
-  }
-  if (plan.bits_replanned) {
-    mem::CountBudgetReplan();
-    MMJOIN_LOG(kWarn, "budget.replan")
-        .Field("algo", name)
-        .Field("action", "radix_bits")
-        .Field("bits", plan.radix_bits)
-        .Field("planned_bytes", plan.planned_bytes)
-        .Field("budget_bytes", plan.budget_bytes);
-  }
-  mem::BudgetReservation reservation;
-  if (plan.budgeted) {
-    MMJOIN_ASSIGN_OR_RETURN(
-        reservation,
-        mem::BudgetReservation::Acquire(
-            config.budget, plan.planned_bytes,
-            plan.chunked() ? "CPR join working set" : "PR join working set"));
-  }
-  if (plan.wave_dropped_pass2) mem::CountBudgetReplan();
-  if (plan.wave_count > 1) {
-    mem::CountBudgetWave();
-    MMJOIN_LOG(kWarn, "budget.wave")
-        .Field("algo", name)
-        .Field("waves", plan.wave_count)
-        .Field("bits", plan.radix_bits);
-  }
-
+                                  ConstTupleSpan build, ConstTupleSpan probe) {
   switch (plan.table) {
     case RadixTable::kChained:
       return RadixJoinRun<hash::ChainedHashTable<hash::RadixShiftHash>>(

@@ -4,9 +4,11 @@
 #include "join/internal.h"
 #include "join/join_algorithm.h"
 #include "join/join_defs.h"
+#include "join/join_plan.h"
 #include "mem/budget.h"
 #include "obs/metrics.h"
 #include "util/failpoint.h"
+#include "util/log.h"
 #include "util/macros.h"
 #include "util/status.h"
 
@@ -108,6 +110,49 @@ Status JoinConfig::Validate(uint64_t build_size, uint64_t probe_size) const {
   return OkStatus();
 }
 
+namespace {
+
+// Reports the plan's budget decisions (docs/ROBUSTNESS.md "Memory budgets")
+// and reserves its planned bytes for the whole run, so joins on a shared
+// tracker are admitted against each other. An infeasible plan needs more
+// than the whole budget: its reservation fails like any other rejection.
+StatusOr<mem::BudgetReservation> Admit(const char* name,
+                                       const internal::JoinPlan& plan,
+                                       mem::BudgetTracker* tracker) {
+  if (plan.budget_dropped_pass2) {
+    mem::CountBudgetReplan();
+    MMJOIN_LOG(kWarn, "budget.replan")
+        .Field("algo", name)
+        .Field("action", "drop_pass2")
+        .Field("budget_bytes", plan.budget_bytes);
+  }
+  if (plan.bits_replanned) {
+    mem::CountBudgetReplan();
+    MMJOIN_LOG(kWarn, "budget.replan")
+        .Field("algo", name)
+        .Field("action", "radix_bits")
+        .Field("bits", plan.radix_bits)
+        .Field("planned_bytes", plan.planned_bytes)
+        .Field("budget_bytes", plan.budget_bytes);
+  }
+  const std::string what = std::string(name) + " join working set";
+  MMJOIN_ASSIGN_OR_RETURN(
+      mem::BudgetReservation reservation,
+      mem::BudgetReservation::Acquire(tracker, plan.planned_bytes,
+                                      what.c_str()));
+  if (plan.wave_dropped_pass2) mem::CountBudgetReplan();
+  if (plan.wave_count > 1) {
+    mem::CountBudgetWave();
+    MMJOIN_LOG(kWarn, "budget.wave")
+        .Field("algo", name)
+        .Field("waves", plan.wave_count)
+        .Field("bits", plan.radix_bits);
+  }
+  return reservation;
+}
+
+}  // namespace
+
 StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
                              const JoinConfig& config, ConstTupleSpan build,
                              ConstTupleSpan probe, uint64_t key_domain) {
@@ -124,19 +169,30 @@ StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
     tracker.emplace(*config.mem_budget_bytes);
     run_config.budget = &*tracker;
   }
+  // Array sizes and MWAY's range partitioning need the key domain.
+  const uint64_t domain =
+      InfoOf(algorithm).requires_dense_keys || algorithm == Algorithm::kMWAY
+          ? internal::InferKeyDomain(build, key_domain)
+          : key_domain;
+  const internal::JoinPlan plan =
+      internal::PlanJoin(algorithm, run_config, build.size(), probe.size(),
+                         domain, internal::HostCacheSpec());
+  MMJOIN_ASSIGN_OR_RETURN(const mem::BudgetReservation reservation,
+                          Admit(NameOf(algorithm), plan, run_config.budget));
+
   StatusOr<JoinResult> result = [&]() -> StatusOr<JoinResult> {
     switch (algorithm) {
       case Algorithm::kNOP:
-        return internal::RunNopJoin<internal::NopLinearOps>(
-            system, run_config, build, probe, key_domain);
+        return internal::RunNopJoin<internal::NopLinearTable>(
+            system, run_config, build, probe, domain);
       case Algorithm::kNOPA:
-        return internal::RunNopJoin<internal::NopArrayOps>(
-            system, run_config, build, probe, key_domain);
+        return internal::RunNopJoin<hash::ArrayTable>(
+            system, run_config, build, probe, domain);
       case Algorithm::kCHTJ:
         return internal::RunChtJoin(system, run_config, build, probe);
       case Algorithm::kMWAY:
         return internal::RunMwayJoin(system, run_config, build, probe,
-                                     key_domain);
+                                     domain);
       case Algorithm::kPRB:
       case Algorithm::kPRO:
       case Algorithm::kPRL:
@@ -146,8 +202,8 @@ StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
       case Algorithm::kPRAiS:
       case Algorithm::kCPRL:
       case Algorithm::kCPRA:
-        return internal::RunRadixJoin(algorithm, system, run_config, build,
-                                      probe, key_domain);
+        return internal::RunRadixJoin(plan, system, run_config, build,
+                                      probe);
     }
     MMJOIN_CHECK(false && "unknown algorithm");
     return JoinResult{};

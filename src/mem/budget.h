@@ -1,21 +1,20 @@
 // Per-join memory budgets: reservation-based admission control.
 //
-// A BudgetTracker holds a byte budget for one join run (or one tenant, once
-// the multi-tenant service lands). Callers *reserve* the bytes their plan
-// says they will allocate before touching TryAllocateAligned, and release
-// the reservation when the buffers die. The tracker is deliberately a
-// planning-level gate, not a malloc shim: the radix-join planner and the
-// join kernels charge the same deterministic table-space estimate
-// (src/partition/model.h), so a plan that was admitted never fails half-way
-// through the join on a budget check -- degradation decisions (re-plan radix
-// bits, drop to one pass, spill-wave the probe side) all happen up front in
-// PlanMemoryBudget. Actual resident bytes are tracked independently by
-// AllocStats (mem.current_bytes / mem.peak_bytes).
+// A BudgetTracker holds a byte budget for one join run or for one service
+// tenant's concurrent joins. The tracker is deliberately a planning-level
+// gate, not a malloc shim: join::RunJoin plans each run (join::PlanJoin,
+// which sizes it from the tables' and buffers' own BytesFor) and reserves
+// the planned bytes once, before any allocation, releasing them when the
+// run ends. A plan that was admitted never fails half-way through the join
+// on a budget check -- degradation decisions (re-plan radix bits, drop to
+// one pass, spill-wave the probe side) all happen up front in the plan.
+// Actual resident bytes are tracked independently by AllocStats
+// (mem.current_bytes / mem.peak_bytes).
 //
 // The `budget.reserve` failpoint injects a reservation failure at the top of
 // Reserve() so every rejection edge is drivable deterministically; the
-// companion `budget.wave` failpoint (evaluated by the PR*/CPR* kernels, see
-// join/internal.h) forces the spill-wave path without constructing a
+// companion `budget.wave` failpoint (evaluated by join::PlanJoin for the
+// PR*/CPR* joins) forces the spill-wave path without constructing a
 // borderline budget.
 
 #ifndef MMJOIN_MEM_BUDGET_H_
@@ -45,8 +44,9 @@ BudgetStats GetBudgetStats();
 // never resets.
 void ResetBudgetStats();
 
-// Degradation-stage accounting, called by the join kernels when a stage
-// fires so tests and operators can see *which* edge a run took.
+// Degradation-stage accounting, called by join::RunJoin (and per wave by the
+// radix driver) when a stage fires, so tests and operators can see *which*
+// edge a run took.
 void CountBudgetReplan();
 void CountBudgetWave();
 void CountBudgetWaveRound();

@@ -179,9 +179,13 @@ class NumaBuffer {
              int home_node = 0)
       : system_(system),
         size_(count),
-        data_(static_cast<T*>(system->Allocate(
-            count * sizeof(T) > 0 ? count * sizeof(T) : sizeof(T), placement,
-            home_node))) {}
+        data_(static_cast<T*>(
+            system->Allocate(BytesFor(count), placement, home_node))) {}
+
+  // Bytes a buffer of `count` elements allocates (at least one element).
+  static constexpr std::size_t BytesFor(std::size_t count) {
+    return count > 0 ? count * sizeof(T) : sizeof(T);
+  }
 
   // Recoverable construction: the allocator's Status instead of abort when
   // the allocation fails. The join kernels allocate all phase buffers
@@ -189,10 +193,8 @@ class NumaBuffer {
   static StatusOr<NumaBuffer> TryCreate(NumaSystem* system, std::size_t count,
                                         Placement placement,
                                         int home_node = 0) {
-    const std::size_t bytes =
-        count * sizeof(T) > 0 ? count * sizeof(T) : sizeof(T);
-    MMJOIN_ASSIGN_OR_RETURN(void* ptr,
-                            system->TryAllocate(bytes, placement, home_node));
+    MMJOIN_ASSIGN_OR_RETURN(
+        void* ptr, system->TryAllocate(BytesFor(count), placement, home_node));
     NumaBuffer buffer;
     buffer.system_ = system;
     buffer.size_ = count;

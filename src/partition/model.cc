@@ -92,9 +92,6 @@ namespace {
 
 // Scratch floor: even a tiny partition costs one page-ish of table space.
 constexpr uint64_t kMinScratchBytes = 4096;
-// Skew headroom: the largest partition can exceed the average; plan for
-// double so admitted plans survive moderate skew without re-reserving.
-constexpr double kSkewHeadroom = 2.0;
 
 uint64_t WaveProbeBytes(uint64_t probe_tuples, uint32_t waves) {
   if (waves <= 1 || probe_tuples == 0) {
@@ -111,21 +108,10 @@ uint64_t PlannedBytes(const MemoryPlanInput& in, uint32_t bits,
   return in.fixed_overhead_bytes + in.build_tuples * sizeof(Tuple) +
          WaveProbeBytes(in.probe_tuples, waves) +
          static_cast<uint64_t>(in.num_threads) *
-             BudgetScratchBytesPerWorker(in.scratch_total_bytes, bits);
+             std::max(in.scratch_bytes_per_worker(bits), kMinScratchBytes);
 }
 
 }  // namespace
-
-uint64_t BudgetScratchBytesPerWorker(double scratch_total_bytes,
-                                     uint32_t radix_bits) {
-  const double per_partition =
-      scratch_total_bytes / static_cast<double>(uint64_t{1} << radix_bits);
-  const double with_headroom = per_partition * kSkewHeadroom;
-  if (with_headroom < static_cast<double>(kMinScratchBytes)) {
-    return kMinScratchBytes;
-  }
-  return static_cast<uint64_t>(with_headroom);
-}
 
 MemoryPlan PlanMemoryBudget(const MemoryPlanInput& in) {
   MMJOIN_CHECK(in.num_threads >= 1);
@@ -160,25 +146,19 @@ MemoryPlan PlanMemoryBudget(const MemoryPlanInput& in) {
   // irreducibly resident; the probe side shrinks by 1/W.
   const uint64_t resident = PlannedBytes(in, plan.radix_bits, 1) -
                             WaveProbeBytes(in.probe_tuples, 1);
-  if (resident >= in.budget_bytes || in.probe_tuples == 0) {
+  // Stage 3: even the smallest plan, kMaxSpillWaves waves, needs more than
+  // the budget; planned_bytes reports it, so it always exceeds the budget.
+  const uint64_t smallest =
+      resident + WaveProbeBytes(in.probe_tuples, kMaxSpillWaves);
+  if (smallest > in.budget_bytes) {
     plan.feasible = false;
-    plan.planned_bytes = resident;
+    plan.planned_bytes = smallest;
     return plan;
   }
-  const uint64_t wave_budget = in.budget_bytes - resident;
-  const uint64_t wave_tuples = wave_budget / sizeof(Tuple);
-  if (wave_tuples == 0) {
-    plan.feasible = false;
-    plan.planned_bytes = resident + sizeof(Tuple);
-    return plan;
-  }
-  const uint64_t waves = CeilDiv(in.probe_tuples, wave_tuples);
-  if (waves > kMaxSpillWaves) {
-    plan.feasible = false;
-    plan.planned_bytes = resident + WaveProbeBytes(in.probe_tuples, kMaxSpillWaves);
-    return plan;
-  }
-  plan.wave_count = static_cast<uint32_t>(waves);
+  // At least ceil(|S| / kMaxSpillWaves) tuples fit, so waves <= the cap.
+  const uint64_t wave_tuples = (in.budget_bytes - resident) / sizeof(Tuple);
+  plan.wave_count =
+      static_cast<uint32_t>(CeilDiv(in.probe_tuples, wave_tuples));
   plan.planned_bytes = PlannedBytes(in, plan.radix_bits, plan.wave_count);
   MMJOIN_CHECK(plan.planned_bytes <= in.budget_bytes);
   return plan;

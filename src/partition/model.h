@@ -17,6 +17,7 @@
 #define MMJOIN_PARTITION_MODEL_H_
 
 #include <cstdint>
+#include <functional>
 
 namespace mmjoin::partition {
 
@@ -41,6 +42,9 @@ CacheSpec DetectHostCacheSpec();
 
 // Hash-table space parameters per table flavour (paper: "the different hash
 // table implementations differ in their space efficiency", Section 7.3).
+// This is Equation (1)'s cache footprint `st`, which chooses radix bits; it
+// is not what a table allocates (power-of-two rounding, the chained table's
+// overflow pool). Memory budgets charge each table's own BytesFor.
 struct TableSpaceSpec {
   double bytes_per_tuple;  // hash table bytes per build tuple, incl. load
   // factor headroom: chained ~16 B (32 B bucket / 2 tuples), linear probing
@@ -66,10 +70,12 @@ uint32_t PredictRadixBits(uint64_t build_tuples, TableSpaceSpec table,
 //            drop two-pass to one-pass (eliminating the mid buffers);
 //   stage 2: split the probe side into `wave_count` sequential spill waves,
 //            so only |S|/wave_count probe tuples are resident at once;
-//   stage 3: infeasible -- the caller returns ResourceExhausted.
+//   stage 3: infeasible -- planned_bytes (the smallest plan) exceeds the
+//            budget, so the join's reservation rejects it.
 //
-// The same estimate is charged against mem::BudgetTracker by the join, so an
-// admitted plan never fails a budget check mid-run.
+// join::PlanJoin calls it and join::RunJoin reserves the resulting
+// planned_bytes against mem::BudgetTracker once, so an admitted plan never
+// fails a budget check mid-run.
 
 // Upper bound on spill waves: beyond this the per-wave partitioning overhead
 // dominates and the budget is considered infeasible.
@@ -82,10 +88,9 @@ struct MemoryPlanInput {
   uint32_t base_bits = 1;   // radix bits the cache model picked
   uint32_t max_bits = 24;   // escalation cap (Eq (1) clamp / domain bound)
   bool bits_fixed = false;  // caller pinned radix_bits: stage 1 must not move
-  // Total scratch-table bytes if one worker processed every partition at
-  // once: bytes_per_tuple * |R| for chained/linear, array bytes * domain for
-  // array tables. Per-worker footprint = this / 2^bits (times skew headroom).
-  double scratch_total_bytes = 0.0;
+  // Bytes of one worker's build table at a given radix bits (charged at
+  // least 4 KB). Each of the num_threads workers holds one.
+  std::function<uint64_t(uint32_t radix_bits)> scratch_bytes_per_worker;
   // Bytes resident regardless of bits/waves (e.g. two-pass mid buffers).
   uint64_t fixed_overhead_bytes = 0;
   uint64_t budget_bytes = 0;  // 0 = unbounded
@@ -98,11 +103,6 @@ struct MemoryPlan {
   bool feasible = true;        // false => stage 3 (reject)
   uint64_t planned_bytes = 0;  // estimate the join reserves up front
 };
-
-// Per-worker scratch bytes at `radix_bits` (with skew headroom + floor);
-// exposed so tests and the kernels share one estimate.
-uint64_t BudgetScratchBytesPerWorker(double scratch_total_bytes,
-                                     uint32_t radix_bits);
 
 MemoryPlan PlanMemoryBudget(const MemoryPlanInput& in);
 

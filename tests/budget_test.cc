@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 
+#include "hash/linear_probing_table.h"
 #include "join/join_algorithm.h"
 #include "join/join_defs.h"
 #include "mem/aligned_alloc.h"
@@ -18,6 +20,7 @@
 #include "numa/system.h"
 #include "partition/model.h"
 #include "util/failpoint.h"
+#include "util/log.h"
 #include "util/status.h"
 #include "workload/generator.h"
 
@@ -135,7 +138,10 @@ partition::MemoryPlanInput BaseInput() {
   in.num_threads = 4;
   in.base_bits = 10;
   in.max_bits = 20;
-  in.scratch_total_bytes = 16.0 * static_cast<double>(in.build_tuples);
+  // Each worker's linear-probing table holds twice the average partition.
+  in.scratch_bytes_per_worker = [build = in.build_tuples](uint32_t bits) {
+    return hash::LinearProbingTable<>::BytesFor(2 * (build >> bits));
+  };
   return in;
 }
 
@@ -375,6 +381,50 @@ TEST_F(BudgetDifferentialTest, TightBudgetEngagesWaveModeForPartitionJoins) {
   }
 }
 
+// Every rejection takes one path -- the run's single reservation -- so it
+// counts once and logs one budget.reject, whether the plan was infeasible
+// (all nine radix joins, which cannot spill R) or the reservation failed.
+// At 1 MiB only NOPA's 825,000-byte array fits a 200K-tuple build.
+TEST_F(BudgetDifferentialTest, EveryRejectionCountsAndLogsOnce) {
+  constexpr uint64_t kBudget = join::JoinConfig::kMinMemBudgetBytes;
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), 200000, 9).value();
+  workload::Relation probe =
+      workload::MakeUniformProbe(System(), 800000, 200000, 10).value();
+  std::string captured;
+  logging::SetLogCaptureForTest(&captured);
+  logging::SetLogFormatForTest(logging::LogFormat::kText);
+  for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+    const char* name = join::NameOf(algorithm);
+    join::JoinConfig config;
+    config.num_threads = 4;
+    config.mem_budget_bytes = kBudget;
+    captured.clear();
+    mem::ResetBudgetStats();
+    const auto result =
+        join::RunJoin(algorithm, System(), config, build, probe);
+    const bool fits = algorithm == join::Algorithm::kNOPA;
+    EXPECT_EQ(result.ok(), fits) << name << ": " << result.status().ToString();
+    EXPECT_EQ(mem::GetBudgetStats().rejections, fits ? 0u : 1u) << name;
+    std::size_t logged = 0;
+    for (std::size_t at = captured.find("budget.reject");
+         at != std::string::npos;
+         at = captured.find("budget.reject", at + 1)) {
+      ++logged;
+    }
+    EXPECT_EQ(logged, fits ? 0u : 1u) << name << ": " << captured;
+    if (fits) continue;
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted) << name;
+    const std::string message(result.status().message());
+    EXPECT_NE(message.find(std::string(name) + " join"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(std::to_string(kBudget)), std::string::npos)
+        << message;
+  }
+  logging::SetLogCaptureForTest(nullptr);
+  logging::SetLogFormatForTest(logging::LogFormat::kDefault);
+}
+
 // budget.wave forces the spill-wave path with no budget pressure at all:
 // results must still be bit-identical (wave decomposition is exact, not an
 // approximation).
@@ -403,6 +453,49 @@ TEST_F(BudgetDifferentialTest, ForcedWaveModeIsBitIdentical) {
         << join::NameOf(algorithm);
     EXPECT_GE(mem::GetBudgetStats().wave_rounds, 2u)
         << join::NameOf(algorithm);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Planned bytes against allocated bytes
+// ---------------------------------------------------------------------------
+
+// What a join reserves is its plan's planned_bytes; what it allocates is the
+// rise of mem.peak_bytes over the run. NOP, NOPA, CHTJ and MWAY allocate
+// exactly their plan, and so do PRA, CPRA and PRAiS, whose worker arrays
+// hold ceil(domain / 2^bits) slots. The other radix joins stay within
+// theirs: the plan sizes each worker's hash table for twice the average
+// partition.
+TEST(PlanBytes, EveryJoinReservesWhatItAllocates) {
+  static auto* system = new numa::NumaSystem(4);
+  for (const uint64_t build_size : {65536u, 100000u, 600000u}) {
+    workload::Relation build =
+        workload::MakeDenseBuild(system, build_size, 21).value();
+    workload::Relation probe =
+        workload::MakeUniformProbe(system, 4 * build_size, build_size, 22)
+            .value();
+    for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+      const std::string what = std::string(join::NameOf(algorithm)) +
+                               " |R|=" + std::to_string(build_size);
+      mem::BudgetTracker tracker(uint64_t{1} << 40);
+      join::JoinConfig config;
+      config.num_threads = 4;
+      config.budget = &tracker;
+      mem::ResetPeakResident();
+      const uint64_t before = mem::GetAllocStats().current_bytes;
+      const auto result =
+          join::RunJoin(algorithm, system, config, build, probe);
+      ASSERT_TRUE(result.ok()) << what << ": " << result.status().ToString();
+      const uint64_t allocated = mem::GetAllocStats().peak_bytes - before;
+      const uint64_t planned = tracker.peak_reserved_bytes();
+      const join::AlgorithmInfo& info = join::InfoOf(algorithm);
+      if (info.join_class == join::JoinClass::kPartitionBased &&
+          !info.requires_dense_keys) {
+        EXPECT_GE(planned, allocated) << what;
+      } else {
+        EXPECT_EQ(planned, allocated) << what;
+      }
+    }
   }
 }
 

@@ -247,9 +247,8 @@ TEST(ConciseHashTable, MemoryIsConcise) {
   // CHT's selling point: ~n tuples + bitmap, far below a load-0.5 linear
   // table.
   const uint64_t n = 1 << 16;
-  ConciseHashTable table(System(), n, numa::Placement::kLocal);
   // 8 B/tuple dense array + 16 B per 64 buckets (8n buckets).
-  EXPECT_LE(table.memory_bytes(), n * 8 + (8 * n / 64) * 16 + 1024);
+  EXPECT_LE(ConciseHashTable::BytesFor(n), n * 8 + (8 * n / 64) * 16 + 1024);
 }
 
 TEST(ConciseHashTable, RegionsAreGroupAligned) {

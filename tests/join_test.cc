@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "join/join_algorithm.h"
-#include "join/radix_plan.h"
+#include "join/join_plan.h"
 #include "join/reference.h"
 #include "mem/budget.h"
 #include "numa/system.h"
@@ -388,23 +388,23 @@ TEST(Throughput, UsesInputBasedDefinition) {
 
 // --- Radix-join plans --------------------------------------------------------
 //
-// PlanRadixJoin pinned for all nine partition-based joins under the paper's
+// PlanJoin pinned for all nine partition-based joins under the paper's
 // CacheSpec, 4 threads, dense keys and |S| = 4|R|. The expected values were
 // recorded from the per-family PR/CPR kernels the planner replaced, so any
 // drift here changes the partitioning of an existing algorithm.
 
-using internal::PlanRadixJoin;
-using internal::RadixJoinPlan;
+using internal::JoinPlan;
+using internal::PlanJoin;
 using internal::RadixTable;
 using internal::TaskOrder;
 
-RadixJoinPlan PlanFor(Algorithm algorithm, uint64_t build_tuples,
+JoinPlan PlanFor(Algorithm algorithm, uint64_t build_tuples,
                       const JoinConfig& config) {
-  return PlanRadixJoin(algorithm, config, build_tuples, 4 * build_tuples,
+  return PlanJoin(algorithm, config, build_tuples, 4 * build_tuples,
                        build_tuples, partition::CacheSpec{});
 }
 
-uint32_t PassesOf(const RadixJoinPlan& plan) { return plan.two_pass() ? 2 : 1; }
+uint32_t PassesOf(const JoinPlan& plan) { return plan.two_pass() ? 2 : 1; }
 
 // The budget PRB reserves (and a run measures as its peak) at `bits`.
 uint64_t PrbPeak(uint64_t build_tuples, uint32_t bits) {
@@ -439,7 +439,7 @@ TEST(RadixPlan, ShapeFollowsTheAlgorithm) {
       {A::kCPRA, true, RadixTable::kArray, TaskOrder::kChunkBlocks, true},
   };
   for (const Shape& shape : shapes) {
-    const RadixJoinPlan plan = PlanFor(shape.algorithm, 50000, JoinConfig{});
+    const JoinPlan plan = PlanFor(shape.algorithm, 50000, JoinConfig{});
     EXPECT_EQ(plan.chunked(), shape.chunked) << NameOf(shape.algorithm);
     EXPECT_EQ(plan.table, shape.table) << NameOf(shape.algorithm);
     EXPECT_EQ(plan.order, shape.order) << NameOf(shape.algorithm);
@@ -516,7 +516,7 @@ TEST(RadixPlan, BitsAndPassesMatchTheHistoricalKernels) {
         {two_pass, row.two_pass},       {pinned, row.pinned},
         {tight, row.tight}};
     for (const auto& [config, expected] : cases) {
-      const RadixJoinPlan plan =
+      const JoinPlan plan =
           PlanFor(row.algorithm, row.build_tuples, config);
       EXPECT_EQ(plan.radix_bits, expected.bits) << what;
       EXPECT_EQ(PassesOf(plan), expected.passes) << what;
@@ -541,7 +541,7 @@ TEST(RadixPlan, TightBudgetDropsPassTwoThenSplitsWaves) {
       JoinConfig config;
       config.radix_bits = 10;
       config.budget = &just_under;
-      RadixJoinPlan plan = PlanFor(algorithm, build_tuples, config);
+      JoinPlan plan = PlanFor(algorithm, build_tuples, config);
       EXPECT_EQ(plan.radix_bits, 10u) << what;
       EXPECT_EQ(PassesOf(plan), 1u) << what;
       EXPECT_EQ(plan.wave_count, 1u) << what;
@@ -555,6 +555,34 @@ TEST(RadixPlan, TightBudgetDropsPassTwoThenSplitsWaves) {
       EXPECT_EQ(PassesOf(plan), 1u) << what;
       EXPECT_EQ(plan.wave_count, 2u) << what;
     }
+  }
+}
+
+// A budget that forces spill waves escalates radix bits only while another
+// bit shrinks the plan, and never past the 4 KB per-worker scratch floor.
+// Without the floor every bit shrinks a table's power-of-two tail a little
+// (PRO's chained table would escalate to 20 bits, 2^20 partitions), while
+// each thread's partition pass allocates a 64-byte SWWCB line per partition
+// that no budget sees. At |R| = 1M the floor stops the hash tables at 13 or
+// 14 bits (<= 1 MiB of SWWCB per thread) and the arrays at 10.
+TEST(RadixPlan, WaveBudgetStopsBitsAtTheScratchFloor) {
+  constexpr uint64_t kBuild = 1000000;
+  constexpr uint64_t kProbe = 4 * kBuild;
+  // R, a quarter of S per wave, and 1 MiB for the worker tables.
+  mem::BudgetTracker tracker((kBuild + kProbe / 4) * sizeof(Tuple) +
+                             (1u << 20));
+  JoinConfig config;
+  config.num_threads = 4;
+  config.budget = &tracker;
+  for (const Algorithm algorithm : AllAlgorithms()) {
+    if (InfoOf(algorithm).join_class != JoinClass::kPartitionBased) continue;
+    const JoinPlan plan = PlanFor(algorithm, kBuild, config);
+    const uint32_t floor_bits =
+        InfoOf(algorithm).requires_dense_keys ? 10 : 14;
+    EXPECT_TRUE(plan.feasible) << NameOf(algorithm);
+    EXPECT_GT(plan.wave_count, 1u) << NameOf(algorithm);
+    EXPECT_LE(plan.radix_bits, floor_bits) << NameOf(algorithm);
+    EXPECT_LE(plan.planned_bytes, tracker.budget_bytes()) << NameOf(algorithm);
   }
 }
 
@@ -576,7 +604,7 @@ TEST(RadixPlan, WaveFailpointForcesOnePassWaves) {
   for (const Algorithm algorithm : AllAlgorithms()) {
     if (InfoOf(algorithm).join_class != JoinClass::kPartitionBased) continue;
     ASSERT_TRUE(failpoint::Configure("budget.wave=once").ok());
-    const RadixJoinPlan plan = PlanFor(algorithm, 50000, JoinConfig{});
+    const JoinPlan plan = PlanFor(algorithm, 50000, JoinConfig{});
     failpoint::DeactivateAll();
     EXPECT_EQ(plan.wave_count, 2u) << NameOf(algorithm);
     EXPECT_EQ(PassesOf(plan), 1u) << NameOf(algorithm);
