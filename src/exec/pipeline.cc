@@ -295,8 +295,9 @@ StatusOr<PipelineStats> Pipeline::Run(numa::NumaSystem* system,
   }
 
   // Stage A: scan .. pre-join operators, materialized as the probe relation
-  // (the join is a pipeline breaker -- it needs the full probe side).
-  TupleMaterialize probe_mat(system, config.materialize_placement);
+  // (the join is a pipeline breaker -- it needs the full probe side),
+  // spread round-robin over the nodes.
+  TupleMaterialize probe_mat(system, numa::Placement::kChunkedRoundRobin);
   std::vector<std::unique_ptr<SegmentWorker>> pre_workers;
   {
     obs::ObsScope scope("exec.stage.scan", obs::SpanKind::kOther);

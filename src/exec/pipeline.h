@@ -39,8 +39,6 @@ struct PipelineConfig {
   double compaction_threshold = -1.0;
   // nullptr falls back to the process-wide pool (thread::GlobalExecutor()).
   thread::Executor* executor = nullptr;
-  // Placement of the materialized probe relation in front of a join.
-  numa::Placement materialize_placement = numa::Placement::kChunkedRoundRobin;
 
   double ResolvedThreshold() const {
     return compaction_threshold < 0.0 ? kDefaultCompactionThreshold

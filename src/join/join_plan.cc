@@ -18,6 +18,10 @@ namespace {
 // build partition: the largest is known only after partitioning.
 constexpr uint64_t kSkewHeadroom = 2;
 
+// Every worker's table is charged at least this much: even a tiny partition
+// costs about a page of table space.
+constexpr uint64_t kMinScratchBytes = 4096;
+
 using numa::NumaBuffer;
 
 // The fixed choices of each radix algorithm (paper Table 2): partitioner,
@@ -87,42 +91,67 @@ JoinPlan PlanRadixJoin(Algorithm algorithm, const JoinConfig& config,
   }
   bits = std::min(bits, max_useful_bits);
 
-  // Memory: the partition buffers plus every worker's build table. Under a
-  // bounded budget, escalate radix bits, drop two-pass to one-pass, split
-  // the probe side into spill waves -- or give up.
-  partition::MemoryPlanInput in;
-  in.build_tuples = build_tuples;
-  in.probe_tuples = probe_tuples;
-  in.num_threads = config.num_threads;
-  in.base_bits = bits;
-  in.max_bits = std::max(bits, std::min<uint32_t>(24, max_useful_bits));
-  in.bits_fixed = config.radix_bits != 0;
-  // An array table's slots, ceil(domain / 2^bits), do not depend on skew.
+  // Memory at `b` radix bits and `waves` spill waves: a two-pass plan's
+  // pass-1 mid buffers, the R partition output, the resident slice of the
+  // S partition output, and every worker's build table (an array table's
+  // slots, ceil(domain / 2^b), do not depend on skew). Each table is
+  // charged at least kMinScratchBytes.
   const bool array = plan.table == RadixTable::kArray;
   const uint64_t units = array ? key_domain : build_tuples;
   const uint64_t headroom = array ? 1 : kSkewHeadroom;
-  in.scratch_bytes_per_worker = [sizing, units, headroom](uint32_t b) {
-    return sizing.bytes_for(CeilDiv(units, uint64_t{1} << b) * headroom);
-  };
-  if (config.budget != nullptr) in.budget_bytes = config.budget->budget_bytes();
-
-  // A two-pass plan that does not fit in one wave drops to one pass
-  // first: that frees the pass-1 mid buffers, and spill waves need the
-  // single-pass layout anyway.
-  partition::MemoryPlan memory;
-  while (true) {
-    in.fixed_overhead_bytes =
+  const auto bytes_at = [&](uint32_t b, uint32_t waves) {
+    const uint64_t mid =
         two_pass ? (build_tuples + probe_tuples) * sizeof(Tuple) : 0;
-    memory = partition::PlanMemoryBudget(in);
-    if (!two_pass || (memory.wave_count == 1 && memory.feasible)) break;
+    const uint64_t table =
+        sizing.bytes_for(CeilDiv(units, uint64_t{1} << b) * headroom);
+    return mid +
+           (build_tuples + CeilDiv(probe_tuples, waves)) * sizeof(Tuple) +
+           static_cast<uint64_t>(config.num_threads) *
+               std::max(table, kMinScratchBytes);
+  };
+
+  // Under a bounded budget the plan degrades until it fits. Unless pinned,
+  // radix bits escalate while the plan is over budget and another bit
+  // still shrinks it: past the scratch floor a bit buys no memory and only
+  // fragments the partitions.
+  const uint64_t budget =
+      config.budget != nullptr ? config.budget->budget_bytes() : 0;
+  const auto fits = [&](uint32_t b) {
+    return budget == 0 || bytes_at(b, 1) <= budget;
+  };
+  const uint32_t base_bits = bits;
+  const auto escalate = [&] {
+    uint32_t b = base_bits;
+    const uint32_t max_bits = std::min<uint32_t>(24, max_useful_bits);
+    while (config.radix_bits == 0 && b < max_bits && !fits(b) &&
+           bytes_at(b + 1, 1) < bytes_at(b, 1)) {
+      ++b;
+    }
+    return b;
+  };
+  bits = escalate();
+  // A two-pass plan that does not fit in one wave drops to one pass: that
+  // frees the mid buffers, and spill waves need the one-pass layout.
+  if (two_pass && !fits(bits)) {
     two_pass = false;
     plan.budget_dropped_pass2 = true;
+    bits = escalate();
   }
-  plan.planned_bytes = memory.planned_bytes;
-  if (!memory.feasible) return plan;
-  plan.bits_replanned = memory.replanned;
-  bits = memory.radix_bits;
-  plan.wave_count = memory.wave_count;
+  plan.planned_bytes = bytes_at(bits, 1);
+  if (!fits(bits)) {
+    // Spill waves: everything but the probe side's partition output stays
+    // resident; the probe side shrinks by 1/waves. Over budget even at
+    // kMaxSpillWaves, the plan is infeasible: planned_bytes reports that
+    // smallest plan, and the run's reservation rejects it.
+    const uint64_t resident =
+        plan.planned_bytes - probe_tuples * sizeof(Tuple);
+    plan.planned_bytes = bytes_at(bits, kMaxSpillWaves);
+    if (plan.planned_bytes > budget) return plan;
+    plan.wave_count = static_cast<uint32_t>(
+        CeilDiv(probe_tuples, (budget - resident) / sizeof(Tuple)));
+    plan.planned_bytes = bytes_at(bits, plan.wave_count);
+  }
+  plan.bits_replanned = bits != base_bits;
 
   // Failpoint: force the spill-wave path (budget or not) so tests drive it
   // deterministically.
@@ -183,9 +212,8 @@ JoinPlan PlanJoin(Algorithm algorithm, const JoinConfig& config,
       plan = PlanRadixJoin(algorithm, config, build_tuples, probe_tuples,
                            key_domain, cache);
   }
-  if (config.budget != nullptr && config.budget->bounded()) {
+  if (config.budget != nullptr) {
     plan.budget_bytes = config.budget->budget_bytes();
-    plan.feasible = plan.planned_bytes <= plan.budget_bytes;
   }
   return plan;
 }

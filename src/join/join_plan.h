@@ -7,7 +7,10 @@
 // one algorithm with three choices (paper Sections 3.1, 6.1-6.2) --
 // partitioner, build table, task order -- and their plans also fix radix
 // bits, passes and spill waves for radix_join.cc; NOP, NOPA, CHTJ and MWAY
-// leave those fields at their defaults.
+// leave those fields at their defaults. Under a bounded budget a radix plan
+// degrades until it fits: escalate radix bits, drop two-pass to one-pass,
+// split the probe side into spill waves -- or stay over budget, and the
+// run's reservation rejects it.
 
 #ifndef MMJOIN_JOIN_JOIN_PLAN_H_
 #define MMJOIN_JOIN_JOIN_PLAN_H_
@@ -33,6 +36,10 @@ enum class TaskOrder {
   kChunkBlocks,       // contiguous blocks of partitions per queue shard
 };
 
+// Upper bound on spill waves: beyond it the per-wave partitioning overhead
+// dominates, and a plan that needs more is infeasible.
+inline constexpr uint32_t kMaxSpillWaves = 64;
+
 struct JoinPlan {
   RadixPartitioner partitioner = RadixPartitioner::kGlobalOnePass;
   RadixTable table = RadixTable::kChained;
@@ -52,9 +59,10 @@ struct JoinPlan {
   uint64_t planned_bytes = 0;
 
   // Budget decisions, made when the run has a bounded budget (budget_bytes
-  // > 0). RunJoin reports them as budget.replan / budget.wave events.
+  // > 0). A plan whose planned_bytes exceed it is infeasible: RunJoin's
+  // reservation rejects it. RunJoin reports the decisions as budget.replan
+  // / budget.wave events.
   uint64_t budget_bytes = 0;
-  bool feasible = true;  // false: planned_bytes exceeds the budget
   bool budget_dropped_pass2 = false;  // budget.replan action=drop_pass2
   bool bits_replanned = false;        // budget.replan action=radix_bits
   bool wave_dropped_pass2 = false;    // budget.wave failpoint forced 1 pass

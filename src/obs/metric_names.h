@@ -50,7 +50,6 @@
   X("join.tasks_stolen")            \
   X("join.steal_remote_reads")     \
   X("trace.spans_recorded")         \
-  X("trace.spans_dropped")          \
   X("obs.trace_dropped_spans")      \
   X("log.events_debug")             \
   X("log.events_info")              \

@@ -163,16 +163,13 @@ Status MetricsRegistry::WriteJson(const std::string& path) const {
 namespace {
 
 // The trace recorder reports on itself through the same registry.
-// `obs.trace_dropped_spans` is the canonical overflow alarm
-// (check_metrics.py warns when nonzero); `trace.spans_dropped` is the same
-// value under the original PR 3 name, kept for compatibility.
+// `obs.trace_dropped_spans` is the overflow alarm (check_metrics.py warns
+// when nonzero).
 const MetricsProviderRegistration kTraceProvider(
     "trace", [](std::vector<Metric>* metrics) {
       TraceRecorder& recorder = TraceRecorder::Get();
       metrics->push_back(Metric{"trace.spans_recorded",
                                 recorder.recorded_spans()});
-      metrics->push_back(Metric{"trace.spans_dropped",
-                                recorder.dropped_spans()});
       metrics->push_back(Metric{"obs.trace_dropped_spans",
                                 recorder.dropped_spans()});
     });

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "util/bits.h"
 #include "util/macros.h"
 #include "util/types.h"
 
@@ -86,82 +85,6 @@ uint32_t PredictRadixBits(uint64_t build_tuples, TableSpaceSpec table,
   const double bits = std::log2(std::max(partitions, 2.0));
   const auto rounded = static_cast<uint32_t>(std::lround(bits));
   return std::clamp<uint32_t>(rounded, 1, 24);
-}
-
-namespace {
-
-// Scratch floor: even a tiny partition costs one page-ish of table space.
-constexpr uint64_t kMinScratchBytes = 4096;
-
-uint64_t WaveProbeBytes(uint64_t probe_tuples, uint32_t waves) {
-  if (waves <= 1 || probe_tuples == 0) {
-    return probe_tuples * sizeof(Tuple);
-  }
-  return CeilDiv(probe_tuples, static_cast<uint64_t>(waves)) * sizeof(Tuple);
-}
-
-// Full working-set estimate at (bits, waves): fixed overhead + the R
-// partition output + the resident slice of the S partition output + every
-// worker's scratch table.
-uint64_t PlannedBytes(const MemoryPlanInput& in, uint32_t bits,
-                      uint32_t waves) {
-  return in.fixed_overhead_bytes + in.build_tuples * sizeof(Tuple) +
-         WaveProbeBytes(in.probe_tuples, waves) +
-         static_cast<uint64_t>(in.num_threads) *
-             std::max(in.scratch_bytes_per_worker(bits), kMinScratchBytes);
-}
-
-}  // namespace
-
-MemoryPlan PlanMemoryBudget(const MemoryPlanInput& in) {
-  MMJOIN_CHECK(in.num_threads >= 1);
-  MMJOIN_CHECK(in.base_bits >= 1 && in.base_bits <= in.max_bits);
-
-  MemoryPlan plan;
-  plan.radix_bits = in.base_bits;
-  plan.planned_bytes = PlannedBytes(in, plan.radix_bits, 1);
-  if (in.budget_bytes == 0 || plan.planned_bytes <= in.budget_bytes) {
-    return plan;  // unbounded, or the cache model's plan already fits
-  }
-
-  // Stage 1: escalate radix bits -- each extra bit halves the per-worker
-  // scratch table. (The caller separately drops two-pass to one-pass by
-  // re-planning with fixed_overhead_bytes = 0.)
-  if (!in.bits_fixed) {
-    // Stop as soon as an extra bit stops shrinking the plan (the scratch
-    // term has hit its kMinScratchBytes floor): escalating further buys no
-    // memory and only fragments the partitions.
-    while (plan.radix_bits < in.max_bits &&
-           PlannedBytes(in, plan.radix_bits, 1) > in.budget_bytes &&
-           PlannedBytes(in, plan.radix_bits + 1, 1) <
-               PlannedBytes(in, plan.radix_bits, 1)) {
-      ++plan.radix_bits;
-      plan.replanned = true;
-    }
-    plan.planned_bytes = PlannedBytes(in, plan.radix_bits, 1);
-    if (plan.planned_bytes <= in.budget_bytes) return plan;
-  }
-
-  // Stage 2: spill waves. Everything but the probe-side partition output is
-  // irreducibly resident; the probe side shrinks by 1/W.
-  const uint64_t resident = PlannedBytes(in, plan.radix_bits, 1) -
-                            WaveProbeBytes(in.probe_tuples, 1);
-  // Stage 3: even the smallest plan, kMaxSpillWaves waves, needs more than
-  // the budget; planned_bytes reports it, so it always exceeds the budget.
-  const uint64_t smallest =
-      resident + WaveProbeBytes(in.probe_tuples, kMaxSpillWaves);
-  if (smallest > in.budget_bytes) {
-    plan.feasible = false;
-    plan.planned_bytes = smallest;
-    return plan;
-  }
-  // At least ceil(|S| / kMaxSpillWaves) tuples fit, so waves <= the cap.
-  const uint64_t wave_tuples = (in.budget_bytes - resident) / sizeof(Tuple);
-  plan.wave_count =
-      static_cast<uint32_t>(CeilDiv(in.probe_tuples, wave_tuples));
-  plan.planned_bytes = PlannedBytes(in, plan.radix_bits, plan.wave_count);
-  MMJOIN_CHECK(plan.planned_bytes <= in.budget_bytes);
-  return plan;
 }
 
 }  // namespace mmjoin::partition

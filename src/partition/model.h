@@ -17,7 +17,6 @@
 #define MMJOIN_PARTITION_MODEL_H_
 
 #include <cstdint>
-#include <functional>
 
 namespace mmjoin::partition {
 
@@ -60,51 +59,6 @@ inline constexpr TableSpaceSpec kArraySpace{4.5};
 // clamped to [1, 24].
 uint32_t PredictRadixBits(uint64_t build_tuples, TableSpaceSpec table,
                           int num_threads, const CacheSpec& cache);
-
-// ---------------------------------------------------------------------------
-// Memory-budget planning for the radix joins (docs/ROBUSTNESS.md "Memory
-// budgets"). Given the working-set shape of a PR*/CPR* run, PlanMemoryBudget
-// decides up front how the join fits a byte budget, degrading in stages:
-//
-//   stage 1: raise radix bits (shrinking per-worker scratch tables) and/or
-//            drop two-pass to one-pass (eliminating the mid buffers);
-//   stage 2: split the probe side into `wave_count` sequential spill waves,
-//            so only |S|/wave_count probe tuples are resident at once;
-//   stage 3: infeasible -- planned_bytes (the smallest plan) exceeds the
-//            budget, so the join's reservation rejects it.
-//
-// join::PlanJoin calls it and join::RunJoin reserves the resulting
-// planned_bytes against mem::BudgetTracker once, so an admitted plan never
-// fails a budget check mid-run.
-
-// Upper bound on spill waves: beyond this the per-wave partitioning overhead
-// dominates and the budget is considered infeasible.
-inline constexpr uint32_t kMaxSpillWaves = 64;
-
-struct MemoryPlanInput {
-  uint64_t build_tuples = 0;  // |R|
-  uint64_t probe_tuples = 0;  // |S|
-  int num_threads = 1;
-  uint32_t base_bits = 1;   // radix bits the cache model picked
-  uint32_t max_bits = 24;   // escalation cap (Eq (1) clamp / domain bound)
-  bool bits_fixed = false;  // caller pinned radix_bits: stage 1 must not move
-  // Bytes of one worker's build table at a given radix bits (charged at
-  // least 4 KB). Each of the num_threads workers holds one.
-  std::function<uint64_t(uint32_t radix_bits)> scratch_bytes_per_worker;
-  // Bytes resident regardless of bits/waves (e.g. two-pass mid buffers).
-  uint64_t fixed_overhead_bytes = 0;
-  uint64_t budget_bytes = 0;  // 0 = unbounded
-};
-
-struct MemoryPlan {
-  uint32_t radix_bits = 1;
-  uint32_t wave_count = 1;     // > 1 => spill-wave mode
-  bool replanned = false;      // stage 1 moved the bits
-  bool feasible = true;        // false => stage 3 (reject)
-  uint64_t planned_bytes = 0;  // estimate the join reserves up front
-};
-
-MemoryPlan PlanMemoryBudget(const MemoryPlanInput& in);
 
 }  // namespace mmjoin::partition
 

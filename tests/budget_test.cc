@@ -1,8 +1,8 @@
 // Per-join memory budget tests (docs/ROBUSTNESS.md "Memory budgets"):
-// BudgetTracker admission control, the PlanMemoryBudget degradation ladder
-// (re-plan bits -> spill waves -> reject), peak-resident accounting, and the
-// differential contract -- every algorithm produces bit-identical match
-// counts and checksums under a budget, or rejects with a clean
+// BudgetTracker admission control, PlanJoin's degradation ladder (re-plan
+// bits -> drop pass 2 -> spill waves -> reject), peak-resident accounting,
+// and the differential contract -- every algorithm produces bit-identical
+// match counts and checksums under a budget, or rejects with a clean
 // ResourceExhausted when its working set is indivisible.
 
 #include <gtest/gtest.h>
@@ -12,9 +12,9 @@
 #include <string>
 #include <utility>
 
-#include "hash/linear_probing_table.h"
 #include "join/join_algorithm.h"
 #include "join/join_defs.h"
+#include "join/join_plan.h"
 #include "mem/aligned_alloc.h"
 #include "mem/budget.h"
 #include "numa/system.h"
@@ -128,112 +128,105 @@ TEST(BudgetStats, ReserveFailpointInjectsRejection) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanMemoryBudget: the degradation ladder
+// PlanMemoryBudget: PlanJoin's degradation ladder for a radix join
 // ---------------------------------------------------------------------------
 
-partition::MemoryPlanInput BaseInput() {
-  partition::MemoryPlanInput in;
-  in.build_tuples = 1u << 20;
-  in.probe_tuples = 1u << 23;
-  in.num_threads = 4;
-  in.base_bits = 10;
-  in.max_bits = 20;
-  // Each worker's linear-probing table holds twice the average partition.
-  in.scratch_bytes_per_worker = [build = in.build_tuples](uint32_t bits) {
-    return hash::LinearProbingTable<>::BytesFor(2 * (build >> bits));
-  };
-  return in;
+using join::internal::JoinPlan;
+
+constexpr uint64_t kLadderBuild = 1u << 20;
+constexpr uint64_t kLadderProbe = 1u << 23;
+
+// PRL's plan for |R| = 2^20 dense keys and |S| = 2^23 on 4 threads of the
+// paper's machine, under a tracker of `budget_bytes` (0 = unbounded).
+// `radix_bits` 0 leaves the bits to Equation (1) and the ladder.
+JoinPlan PrlPlan(uint64_t budget_bytes, uint32_t radix_bits = 0) {
+  mem::BudgetTracker tracker(budget_bytes);
+  join::JoinConfig config;
+  config.num_threads = 4;
+  config.radix_bits = radix_bits;
+  config.budget = &tracker;
+  return join::internal::PlanJoin(join::Algorithm::kPRL, config,
+                                  kLadderBuild, kLadderProbe, kLadderBuild,
+                                  partition::CacheSpec{});
 }
 
 TEST(PlanMemoryBudget, UnboundedKeepsBasePlan) {
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(BaseInput());
-  EXPECT_TRUE(plan.feasible);
-  EXPECT_FALSE(plan.replanned);
-  EXPECT_EQ(plan.radix_bits, 10u);
+  const JoinPlan plan = PrlPlan(0);
+  EXPECT_EQ(plan.budget_bytes, 0u);
+  EXPECT_FALSE(plan.bits_replanned);
+  EXPECT_EQ(plan.radix_bits,
+            partition::PredictRadixBits(kLadderBuild, partition::kLinearSpace,
+                                        4, partition::CacheSpec{}));
   EXPECT_EQ(plan.wave_count, 1u);
 }
 
 TEST(PlanMemoryBudget, AmplePlanAdmittedUnchanged) {
-  partition::MemoryPlanInput in = BaseInput();
-  in.budget_bytes = 1ull << 32;
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(in);
-  EXPECT_TRUE(plan.feasible);
-  EXPECT_FALSE(plan.replanned);
+  const JoinPlan base = PrlPlan(0);
+  const JoinPlan plan = PrlPlan(1ull << 32);
+  EXPECT_FALSE(plan.bits_replanned);
+  EXPECT_EQ(plan.radix_bits, base.radix_bits);
   EXPECT_EQ(plan.wave_count, 1u);
-  EXPECT_LE(plan.planned_bytes, in.budget_bytes);
+  EXPECT_EQ(plan.planned_bytes, base.planned_bytes);
+  EXPECT_LE(plan.planned_bytes, plan.budget_bytes);
 }
 
 TEST(PlanMemoryBudget, Stage1EscalatesRadixBits) {
-  partition::MemoryPlanInput in = BaseInput();
-  // Just below the base plan: one extra bit's worth of scratch shrink
+  // Just below the base plan: one extra bit's worth of table shrink
   // suffices, so the plan degrades without waves.
-  const uint64_t base =
-      partition::PlanMemoryBudget(BaseInput()).planned_bytes;
-  in.budget_bytes = base - 1;
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(in);
-  EXPECT_TRUE(plan.feasible);
-  EXPECT_TRUE(plan.replanned);
-  EXPECT_GT(plan.radix_bits, in.base_bits);
+  const JoinPlan base = PrlPlan(0);
+  const JoinPlan plan = PrlPlan(base.planned_bytes - 1);
+  EXPECT_TRUE(plan.bits_replanned);
+  EXPECT_GT(plan.radix_bits, base.radix_bits);
   EXPECT_EQ(plan.wave_count, 1u);
-  EXPECT_LE(plan.planned_bytes, in.budget_bytes);
+  EXPECT_LE(plan.planned_bytes, plan.budget_bytes);
 }
 
 TEST(PlanMemoryBudget, Stage1RespectsFixedBits) {
-  partition::MemoryPlanInput in = BaseInput();
-  in.bits_fixed = true;
-  in.budget_bytes =
-      partition::PlanMemoryBudget(BaseInput()).planned_bytes - 1;
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(in);
-  EXPECT_EQ(plan.radix_bits, in.base_bits);  // never escalated
+  const JoinPlan plan = PrlPlan(PrlPlan(0, 10).planned_bytes - 1, 10);
+  EXPECT_FALSE(plan.bits_replanned);
+  EXPECT_EQ(plan.radix_bits, 10u);  // never escalated
   // The budget shortfall must be absorbed by waves instead.
   EXPECT_GT(plan.wave_count, 1u);
+  EXPECT_LE(plan.planned_bytes, plan.budget_bytes);
 }
 
 TEST(PlanMemoryBudget, Stage2SpillsProbeSideInWaves) {
-  partition::MemoryPlanInput in = BaseInput();
   // Too small for the whole probe side, ample for everything else.
-  const uint64_t probe_bytes = in.probe_tuples * sizeof(Tuple);
-  in.budget_bytes = probe_bytes / 4 + in.build_tuples * sizeof(Tuple) +
-                    4 * (1u << 20);
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(in);
-  ASSERT_TRUE(plan.feasible);
+  const JoinPlan plan =
+      PrlPlan(kLadderProbe * sizeof(Tuple) / 4 +
+              kLadderBuild * sizeof(Tuple) + 4 * (1u << 20));
   EXPECT_GT(plan.wave_count, 1u);
-  EXPECT_LE(plan.wave_count, partition::kMaxSpillWaves);
-  EXPECT_LE(plan.planned_bytes, in.budget_bytes);
+  EXPECT_LE(plan.wave_count, join::internal::kMaxSpillWaves);
+  EXPECT_LE(plan.planned_bytes, plan.budget_bytes);
 }
 
 TEST(PlanMemoryBudget, InfeasibleWhenResidentSetExceedsBudget) {
-  partition::MemoryPlanInput in = BaseInput();
-  in.budget_bytes = in.build_tuples * sizeof(Tuple) / 2;  // < R alone
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(in);
-  EXPECT_FALSE(plan.feasible);
-  // planned_bytes reports the best-effort minimum so the error can say how
+  const JoinPlan plan = PrlPlan(kLadderBuild * sizeof(Tuple) / 2);  // < R
+  // planned_bytes reports the smallest plan, so the rejection can say how
   // much would have been needed.
-  EXPECT_GT(plan.planned_bytes, in.budget_bytes);
+  EXPECT_GT(plan.planned_bytes, plan.budget_bytes);
 }
 
 TEST(PlanMemoryBudget, InfeasibleBeyondWaveCap) {
-  partition::MemoryPlanInput in = BaseInput();
   // Leaves room for less than 1/kMaxSpillWaves of the probe side above the
   // resident set, so the wave ladder runs out.
-  const uint64_t resident =
-      partition::PlanMemoryBudget(BaseInput()).planned_bytes -
-      in.probe_tuples * sizeof(Tuple);
-  in.budget_bytes = resident +
-                    in.probe_tuples * sizeof(Tuple) /
-                        (2 * partition::kMaxSpillWaves);
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(in);
-  EXPECT_FALSE(plan.feasible);
+  const uint64_t probe_bytes = kLadderProbe * sizeof(Tuple);
+  const uint64_t resident = PrlPlan(0, 10).planned_bytes - probe_bytes;
+  const JoinPlan plan = PrlPlan(
+      resident + probe_bytes / (2 * join::internal::kMaxSpillWaves), 10);
+  EXPECT_GT(plan.planned_bytes, plan.budget_bytes);
 }
 
 TEST(PlanMemoryBudget, EscalationStopsAtScratchFloor) {
-  partition::MemoryPlanInput in = BaseInput();
-  in.budget_bytes = 1;  // unsatisfiable: exercises the full ladder
-  const partition::MemoryPlan plan = partition::PlanMemoryBudget(in);
-  EXPECT_FALSE(plan.feasible);
-  // Bits stop escalating once another bit no longer shrinks the plan --
-  // well before max_bits for this scratch size.
-  EXPECT_LT(plan.radix_bits, in.max_bits);
+  // Unsatisfiable: the ladder runs to its end. Bits escalate until every
+  // worker table is charged the 4 KB floor, and the reported smallest plan
+  // is R, 1/kMaxSpillWaves of S and four floor-sized tables.
+  const JoinPlan plan = PrlPlan(1);
+  EXPECT_FALSE(plan.bits_replanned);  // an infeasible plan reports no replan
+  EXPECT_EQ(plan.planned_bytes,
+            (kLadderBuild + kLadderProbe / join::internal::kMaxSpillWaves) *
+                    sizeof(Tuple) +
+                4 * 4096);
 }
 
 // ---------------------------------------------------------------------------

@@ -521,7 +521,9 @@ TEST(RadixPlan, BitsAndPassesMatchTheHistoricalKernels) {
       EXPECT_EQ(plan.radix_bits, expected.bits) << what;
       EXPECT_EQ(PassesOf(plan), expected.passes) << what;
       EXPECT_EQ(plan.wave_count, 1u) << what;
-      EXPECT_TRUE(plan.feasible) << what;
+      if (plan.budget_bytes != 0) {
+        EXPECT_LE(plan.planned_bytes, plan.budget_bytes) << what;
+      }
     }
   }
 }
@@ -579,7 +581,6 @@ TEST(RadixPlan, WaveBudgetStopsBitsAtTheScratchFloor) {
     const JoinPlan plan = PlanFor(algorithm, kBuild, config);
     const uint32_t floor_bits =
         InfoOf(algorithm).requires_dense_keys ? 10 : 14;
-    EXPECT_TRUE(plan.feasible) << NameOf(algorithm);
     EXPECT_GT(plan.wave_count, 1u) << NameOf(algorithm);
     EXPECT_LE(plan.radix_bits, floor_bits) << NameOf(algorithm);
     EXPECT_LE(plan.planned_bytes, tracker.budget_bytes()) << NameOf(algorithm);
