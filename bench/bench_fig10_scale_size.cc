@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   bench::PrintBanner(
       "Figure 10 (scalability in dataset size)",
       "Throughput (M input tuples/s) while doubling |R|; left block "
-      "|S|=10x|R|, right block |S|=|R|. Radix bits follow Equation (1).",
+      "|S|=10x|R|, right block |S|=|R|. Radix bits follow Equation (1), "
+      "floored at 8 partitions per thread.",
       env);
 
   numa::NumaSystem system(env.nodes, env.pages);

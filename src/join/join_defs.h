@@ -137,7 +137,8 @@ class MatchSink {
 
 struct JoinConfig {
   int num_threads = 4;
-  // Radix bits for partition-based joins; 0 = predict via Equation (1).
+  // Radix bits for partition-based joins; 0 = predict via Equation (1),
+  // floored at 8 partitions per thread. A pinned value is never raised.
   uint32_t radix_bits = 0;
   // Partitioning passes for the PR* family: 0 = algorithm default (PRB: 2,
   // everything else: 1); 1 or 2 forces the pass count (the Figure 2

@@ -18,6 +18,11 @@ namespace {
 // build partition: the largest is known only after partitioning.
 constexpr uint64_t kSkewHeadroom = 2;
 
+// Default radix bits give every thread at least this many partitions:
+// Equation (1) sizes partitions to the cache but not to the workers, and a
+// plan with fewer tasks than threads leaves threads idle in build and probe.
+constexpr uint64_t kMinPartitionsPerThread = 8;
+
 // Every worker's table is charged at least this much: even a tiny partition
 // costs about a page of table space.
 constexpr uint64_t kMinScratchBytes = 4096;
@@ -85,9 +90,11 @@ JoinPlan PlanRadixJoin(Algorithm algorithm, const JoinConfig& config,
       std::max<uint32_t>(CeilLog2(std::max<uint64_t>(build_tuples, 2)), 1);
   uint32_t bits = config.radix_bits;
   if (bits == 0) {
-    bits = partition::PredictRadixBits(std::max<uint64_t>(build_tuples, 1),
-                                       sizing.space,
-                                       config.num_threads, cache);
+    bits = std::max(
+        partition::PredictRadixBits(std::max<uint64_t>(build_tuples, 1),
+                                    sizing.space, config.num_threads, cache),
+        CeilLog2(kMinPartitionsPerThread *
+                 static_cast<uint64_t>(config.num_threads)));
   }
   bits = std::min(bits, max_useful_bits);
 
@@ -132,9 +139,9 @@ JoinPlan PlanRadixJoin(Algorithm algorithm, const JoinConfig& config,
   bits = escalate();
   // A two-pass plan that does not fit in one wave drops to one pass: that
   // frees the mid buffers, and spill waves need the one-pass layout.
-  if (two_pass && !fits(bits)) {
+  const bool dropped_pass2 = two_pass && !fits(bits);
+  if (dropped_pass2) {
     two_pass = false;
-    plan.budget_dropped_pass2 = true;
     bits = escalate();
   }
   plan.planned_bytes = bytes_at(bits, 1);
@@ -151,6 +158,9 @@ JoinPlan PlanRadixJoin(Algorithm algorithm, const JoinConfig& config,
         CeilDiv(probe_tuples, (budget - resident) / sizeof(Tuple)));
     plan.planned_bytes = bytes_at(bits, plan.wave_count);
   }
+  // Only a feasible plan reports its budget decisions: an infeasible one
+  // returned above, and its reservation rejects the run.
+  plan.budget_dropped_pass2 = dropped_pass2;
   plan.bits_replanned = bits != base_bits;
 
   // Failpoint: force the spill-wave path (budget or not) so tests drive it

@@ -418,6 +418,46 @@ TEST_F(BudgetDifferentialTest, EveryRejectionCountsAndLogsOnce) {
   logging::SetLogFormatForTest(logging::LogFormat::kDefault);
 }
 
+// An infeasible plan reports no degradation: PRB's two-pass plan does not
+// fit 1 MiB, and neither does the one-pass plan it would drop to, so the run
+// is rejected without a budget.replan event or a mem.budget_replans count.
+TEST_F(BudgetDifferentialTest, InfeasiblePrbPlanReportsNoPassTwoDrop) {
+  constexpr uint64_t kBudget = join::JoinConfig::kMinMemBudgetBytes;
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), 200000, 9).value();
+  workload::Relation probe =
+      workload::MakeUniformProbe(System(), 800000, 200000, 10).value();
+  join::JoinConfig config;
+  config.num_threads = 2;
+  config.mem_budget_bytes = kBudget;
+
+  mem::BudgetTracker tracker(kBudget);
+  join::JoinConfig planned = config;
+  planned.budget = &tracker;
+  const JoinPlan plan = join::internal::PlanJoin(
+      join::Algorithm::kPRB, planned, build.size(), probe.size(),
+      build.size(), partition::CacheSpec{});
+  EXPECT_GT(plan.planned_bytes, plan.budget_bytes);
+  EXPECT_FALSE(plan.budget_dropped_pass2);
+  EXPECT_FALSE(plan.bits_replanned);
+
+  std::string captured;
+  logging::SetLogCaptureForTest(&captured);
+  logging::SetLogFormatForTest(logging::LogFormat::kText);
+  mem::ResetBudgetStats();
+  const auto result =
+      join::RunJoin(join::Algorithm::kPRB, System(), config, build, probe);
+  logging::SetLogCaptureForTest(nullptr);
+  logging::SetLogFormatForTest(logging::LogFormat::kDefault);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  const mem::BudgetStats stats = mem::GetBudgetStats();
+  EXPECT_EQ(stats.replans, 0u);
+  EXPECT_EQ(stats.rejections, 1u);
+  EXPECT_EQ(captured.find("budget.replan"), std::string::npos) << captured;
+  EXPECT_NE(captured.find("budget.reject"), std::string::npos) << captured;
+}
+
 // budget.wave forces the spill-wave path with no budget pressure at all:
 // results must still be bit-identical (wave decomposition is exact, not an
 // approximation).

@@ -20,6 +20,7 @@
 #include "obs/phase_profile.h"
 #include "obs/trace.h"
 #include "partition/model.h"
+#include "util/bits.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -390,8 +391,10 @@ TEST(Throughput, UsesInputBasedDefinition) {
 //
 // PlanJoin pinned for all nine partition-based joins under the paper's
 // CacheSpec, 4 threads, dense keys and |S| = 4|R|. The expected values were
-// recorded from the per-family PR/CPR kernels the planner replaced, so any
-// drift here changes the partitioning of an existing algorithm.
+// recorded from the per-family PR/CPR kernels the planner replaced, with the
+// default bits since floored at 8 partitions per thread (5 bits at 4
+// threads), so any other drift here changes the partitioning of an existing
+// algorithm.
 
 using internal::JoinPlan;
 using internal::PlanJoin;
@@ -454,7 +457,7 @@ TEST(RadixPlan, BitsAndPassesMatchTheHistoricalKernels) {
     uint32_t passes;
   };
   // Per geometry: the default plan, num_passes = 1, num_passes = 2,
-  // radix_bits = 10, and a budget just under PRB's peak at predicted bits
+  // radix_bits = 10, and a budget just under PRB's peak at default bits
   // (PRB escalates a bit and keeps two passes; the others already fit).
   struct Row {
     Algorithm algorithm;
@@ -462,42 +465,42 @@ TEST(RadixPlan, BitsAndPassesMatchTheHistoricalKernels) {
     BitsPasses by_default, one_pass, two_pass, pinned, tight;
   };
   const Row rows[] = {
-      {A::kPRB, 8192, {1, 2}, {1, 1}, {1, 2}, {10, 2}, {2, 2}},
-      {A::kPRO, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kPRL, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kPRA, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kCPRL, 8192, {1, 1}, {1, 1}, {1, 1}, {10, 1}, {1, 1}},
-      {A::kCPRA, 8192, {1, 1}, {1, 1}, {1, 1}, {10, 1}, {1, 1}},
-      {A::kPROiS, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kPRLiS, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kPRAiS, 8192, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kPRB, 50000, {2, 2}, {2, 1}, {2, 2}, {10, 2}, {3, 2}},
-      {A::kPRO, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
-      {A::kPRL, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
-      {A::kPRA, 50000, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kCPRL, 50000, {2, 1}, {2, 1}, {2, 1}, {10, 1}, {2, 1}},
-      {A::kCPRA, 50000, {1, 1}, {1, 1}, {1, 1}, {10, 1}, {1, 1}},
-      {A::kPROiS, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
-      {A::kPRLiS, 50000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
-      {A::kPRAiS, 50000, {1, 1}, {1, 1}, {1, 2}, {10, 1}, {1, 1}},
-      {A::kPRB, 200000, {4, 2}, {4, 1}, {4, 2}, {10, 2}, {5, 2}},
-      {A::kPRO, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
-      {A::kPRL, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
-      {A::kPRA, 200000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
-      {A::kCPRL, 200000, {4, 1}, {4, 1}, {4, 1}, {10, 1}, {4, 1}},
-      {A::kCPRA, 200000, {2, 1}, {2, 1}, {2, 1}, {10, 1}, {2, 1}},
-      {A::kPROiS, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
-      {A::kPRLiS, 200000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
-      {A::kPRAiS, 200000, {2, 1}, {2, 1}, {2, 2}, {10, 1}, {2, 1}},
+      {A::kPRB, 8192, {5, 2}, {5, 1}, {5, 2}, {10, 2}, {6, 2}},
+      {A::kPRO, 8192, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRL, 8192, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRA, 8192, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kCPRL, 8192, {5, 1}, {5, 1}, {5, 1}, {10, 1}, {5, 1}},
+      {A::kCPRA, 8192, {5, 1}, {5, 1}, {5, 1}, {10, 1}, {5, 1}},
+      {A::kPROiS, 8192, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRLiS, 8192, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRAiS, 8192, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRB, 50000, {5, 2}, {5, 1}, {5, 2}, {10, 2}, {6, 2}},
+      {A::kPRO, 50000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRL, 50000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRA, 50000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kCPRL, 50000, {5, 1}, {5, 1}, {5, 1}, {10, 1}, {5, 1}},
+      {A::kCPRA, 50000, {5, 1}, {5, 1}, {5, 1}, {10, 1}, {5, 1}},
+      {A::kPROiS, 50000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRLiS, 50000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRAiS, 50000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRB, 200000, {5, 2}, {5, 1}, {5, 2}, {10, 2}, {6, 2}},
+      {A::kPRO, 200000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRL, 200000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRA, 200000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kCPRL, 200000, {5, 1}, {5, 1}, {5, 1}, {10, 1}, {5, 1}},
+      {A::kCPRA, 200000, {5, 1}, {5, 1}, {5, 1}, {10, 1}, {5, 1}},
+      {A::kPROiS, 200000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRLiS, 200000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
+      {A::kPRAiS, 200000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
       {A::kPRB, 1000000, {6, 2}, {6, 1}, {6, 2}, {10, 2}, {7, 2}},
       {A::kPRO, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
       {A::kPRL, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
-      {A::kPRA, 1000000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+      {A::kPRA, 1000000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
       {A::kCPRL, 1000000, {6, 1}, {6, 1}, {6, 1}, {10, 1}, {6, 1}},
-      {A::kCPRA, 1000000, {4, 1}, {4, 1}, {4, 1}, {10, 1}, {4, 1}},
+      {A::kCPRA, 1000000, {5, 1}, {5, 1}, {5, 1}, {10, 1}, {5, 1}},
       {A::kPROiS, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
       {A::kPRLiS, 1000000, {6, 1}, {6, 1}, {6, 2}, {10, 1}, {6, 1}},
-      {A::kPRAiS, 1000000, {4, 1}, {4, 1}, {4, 2}, {10, 1}, {4, 1}},
+      {A::kPRAiS, 1000000, {5, 1}, {5, 1}, {5, 2}, {10, 1}, {5, 1}},
   };
   for (const Row& row : rows) {
     const std::string what = std::string(NameOf(row.algorithm)) + " |R|=" +
@@ -523,6 +526,52 @@ TEST(RadixPlan, BitsAndPassesMatchTheHistoricalKernels) {
       EXPECT_EQ(plan.wave_count, 1u) << what;
       if (plan.budget_bytes != 0) {
         EXPECT_LE(plan.planned_bytes, plan.budget_bytes) << what;
+      }
+    }
+  }
+}
+
+// Default bits are Equation (1) floored at 8 partitions per thread, then
+// clamped to one partition per build tuple; pinned bits are never raised.
+// Another bit only shrinks the worker tables, so the floor never plans more
+// memory than Equation (1) alone, and it is not a budget re-plan.
+TEST(RadixPlan, DefaultBitsGiveEveryThreadPartitions) {
+  // Per RadixTable, in enum order.
+  const partition::TableSpaceSpec spaces[] = {partition::kChainedSpace,
+                                              partition::kLinearSpace,
+                                              partition::kArraySpace};
+  const partition::CacheSpec cache;
+  mem::BudgetTracker unbounded(0);
+  for (const Algorithm algorithm : AllAlgorithms()) {
+    if (InfoOf(algorithm).join_class != JoinClass::kPartitionBased) continue;
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      for (const uint64_t build_tuples : {1u, 7u, 8192u, 250000u, 1000000u}) {
+        const std::string what = std::string(NameOf(algorithm)) +
+                                 " threads=" + std::to_string(threads) +
+                                 " |R|=" + std::to_string(build_tuples);
+        JoinConfig config;
+        config.num_threads = threads;
+        config.budget = &unbounded;
+        const auto plan_with = [&](const JoinConfig& c) {
+          return PlanJoin(algorithm, c, build_tuples, 4 * build_tuples,
+                          build_tuples, cache);
+        };
+        const JoinPlan plan = plan_with(config);
+        const uint64_t wanted =
+            std::min<uint64_t>(8 * static_cast<uint64_t>(threads),
+                               uint64_t{1} << CeilLog2(build_tuples));
+        EXPECT_GE(uint64_t{1} << plan.radix_bits, wanted) << what;
+        EXPECT_FALSE(plan.bits_replanned) << what;
+
+        JoinConfig pinned = config;
+        pinned.radix_bits = 1;
+        EXPECT_EQ(plan_with(pinned).radix_bits, 1u) << what;
+
+        pinned.radix_bits = partition::PredictRadixBits(
+            build_tuples, spaces[static_cast<int>(plan.table)], threads,
+            cache);
+        EXPECT_LE(plan.planned_bytes, plan_with(pinned).planned_bytes)
+            << what;
       }
     }
   }
@@ -646,6 +695,23 @@ TEST(RadixPlan, SkewedRunSeedsThePinnedTasks) {
     EXPECT_EQ(CounterValue("join.skew_partitions") - split, 3u)
         << NameOf(algorithm);
   }
+}
+
+// Counted work of a default plan with the host's own cache sizes: where L2
+// is large (2 MiB per core), Equation (1) alone gives the array joins 1 bit
+// at |R| = 2^20, 2 tasks for 4 threads; the floor seeds at least 8 per
+// thread on any host.
+TEST(RadixPlan, DefaultPlanSeedsTasksForEveryThread) {
+  const uint64_t build_size = 1 << 20;
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), build_size, 13).value();
+  workload::Relation probe =
+      workload::MakeUniformProbe(System(), build_size, build_size, 14).value();
+  JoinConfig config;
+  config.num_threads = 4;
+  const uint64_t seeded = CounterValue("join.tasks_seeded");
+  ASSERT_TRUE(RunJoin(Algorithm::kPRA, System(), config, build, probe).ok());
+  EXPECT_GE(CounterValue("join.tasks_seeded") - seeded, 32u);
 }
 
 }  // namespace
