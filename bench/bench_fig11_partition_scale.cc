@@ -31,15 +31,13 @@ double GlobalPartitionNsPerTuple(numa::NumaSystem* system,
       system, options, input.cspan(),
       TupleSpan(output.data(), output.size()));
   Stopwatch watch;
+  partition::GlobalRadixPartitioner* const pass[] = {&partitioner};
   MMJOIN_CHECK_OK(thread::GlobalExecutor().Dispatch(
       threads, [&](const thread::WorkerContext& ctx) {
-        partitioner.BuildHistogram(ctx.thread_id);
-        ctx.barrier->ArriveAndWait();
-        if (ctx.thread_id == 0) partitioner.ComputeOffsets();
-        ctx.barrier->ArriveAndWait();
-        partitioner.Scatter(
-            ctx.thread_id,
-            system->topology().NodeOfThread(ctx.thread_id, threads));
+        partition::RunGlobalPass(
+            pass, ctx.thread_id,
+            system->topology().NodeOfThread(ctx.thread_id, threads),
+            *ctx.barrier);
       }));
   return static_cast<double>(watch.ElapsedNanos()) / input.size();
 }

@@ -4,16 +4,10 @@
 #include <cstdio>
 
 #include "obs/phase_profile.h"
+#include "util/file.h"
 
 namespace mmjoin::core {
 namespace {
-
-std::string U64(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
 
 std::string Ms(int64_t ns) {
   char buf[32];
@@ -120,11 +114,11 @@ ExplainReport BuildExplainReport(
 std::string FormatExplainText(const ExplainReport& report) {
   std::string out;
   out += "== EXPLAIN ANALYZE: " + report.algorithm + " ==\n";
-  out += "  inputs    : |R|=" + U64(report.build_size) +
-         " |S|=" + U64(report.probe_size) +
+  out += "  inputs    : |R|=" + std::to_string(report.build_size) +
+         " |S|=" + std::to_string(report.probe_size) +
          " threads=" + std::to_string(report.threads) + "\n";
-  out += "  result    : matches=" + U64(report.result.matches) +
-         " checksum=" + U64(report.result.checksum) + "\n";
+  out += "  result    : matches=" + std::to_string(report.result.matches) +
+         " checksum=" + std::to_string(report.result.checksum) + "\n";
   const join::PhaseTimes& times = report.result.times;
   const double mtps =
       times.total_ns > 0
@@ -149,15 +143,17 @@ std::string FormatExplainText(const ExplainReport& report) {
     rows.Add({obs::JoinPhaseName(static_cast<obs::JoinPhase>(p)),
               std::to_string(stat.threads), Ms(stat.total_ns),
               Ms(stat.MeanNs()), Ms(stat.min_ns), Ms(stat.max_ns),
-              stat.counters.valid ? U64(stat.counters.cycles) : "-",
-              stat.counters.valid ? U64(stat.counters.instructions) : "-"});
+              stat.counters.valid ? std::to_string(stat.counters.cycles) : "-",
+              stat.counters.valid ? std::to_string(stat.counters.instructions)
+                                  : "-"});
   }
   rows.Render(&out);
   out += "  critical path " + Ms(profile.CriticalPathNs()) +
          "ms (sum of slowest thread per phase) vs wall total " +
          Ms(times.total_ns) + "ms\n";
 
-  out += "\n  -- NUMA task steals: total=" + U64(report.total_steals) + " --\n";
+  out += "\n  -- NUMA task steals: total=" +
+         std::to_string(report.total_steals) + " --\n";
   if (report.num_nodes > 0 && report.total_steals > 0) {
     std::vector<std::string> header{"thief\\victim"};
     for (int v = 0; v < report.num_nodes; ++v) {
@@ -167,7 +163,7 @@ std::string FormatExplainText(const ExplainReport& report) {
     for (int t = 0; t < report.num_nodes; ++t) {
       std::vector<std::string> row{"n" + std::to_string(t)};
       for (int v = 0; v < report.num_nodes; ++v) {
-        row.push_back(U64(
+        row.push_back(std::to_string(
             report.steal_matrix[static_cast<size_t>(t) * report.num_nodes + v]));
       }
       rows.Add(std::move(row));
@@ -179,7 +175,7 @@ std::string FormatExplainText(const ExplainReport& report) {
     out += "\n  -- counter deltas over this run --\n";
     Rows rows({"counter", "delta"});
     for (const auto& [name, delta] : report.counters) {
-      rows.Add({name, U64(delta)});
+      rows.Add({name, std::to_string(delta)});
     }
     rows.Render(&out);
   }
@@ -189,17 +185,20 @@ std::string FormatExplainText(const ExplainReport& report) {
 std::string ExplainReportJson(const ExplainReport& report) {
   std::string out = "{\"schema\":\"mmjoin.report.v1\",\"algorithm\":\"";
   out += report.algorithm;  // registry names, no escaping needed
-  out += "\",\"build\":" + U64(report.build_size);
-  out += ",\"probe\":" + U64(report.probe_size);
+  out += "\",\"build\":" + std::to_string(report.build_size);
+  out += ",\"probe\":" + std::to_string(report.probe_size);
   out += ",\"threads\":" + std::to_string(report.threads);
-  out += ",\"matches\":" + U64(report.result.matches);
-  out += ",\"checksum\":" + U64(report.result.checksum);
+  out += ",\"matches\":" + std::to_string(report.result.matches);
+  out += ",\"checksum\":" + std::to_string(report.result.checksum);
   const join::PhaseTimes& times = report.result.times;
   out += ",\"times\":{\"partition_ns\":" +
-         U64(static_cast<uint64_t>(times.partition_ns)) +
-         ",\"build_ns\":" + U64(static_cast<uint64_t>(times.build_ns)) +
-         ",\"probe_ns\":" + U64(static_cast<uint64_t>(times.probe_ns)) +
-         ",\"total_ns\":" + U64(static_cast<uint64_t>(times.total_ns)) + "}";
+         std::to_string(static_cast<uint64_t>(times.partition_ns)) +
+         ",\"build_ns\":" +
+         std::to_string(static_cast<uint64_t>(times.build_ns)) +
+         ",\"probe_ns\":" +
+         std::to_string(static_cast<uint64_t>(times.probe_ns)) +
+         ",\"total_ns\":" +
+         std::to_string(static_cast<uint64_t>(times.total_ns)) + "}";
   const obs::PhaseProfile& profile = report.result.profile;
   out += ",\"phases\":{";
   bool first = true;
@@ -211,17 +210,20 @@ std::string ExplainReportJson(const ExplainReport& report) {
     out += '"';
     out += obs::JoinPhaseName(static_cast<obs::JoinPhase>(p));
     out += "\":{\"threads\":" + std::to_string(stat.threads) +
-           ",\"total_ns\":" + U64(static_cast<uint64_t>(stat.total_ns)) +
-           ",\"min_ns\":" + U64(static_cast<uint64_t>(stat.min_ns)) +
-           ",\"max_ns\":" + U64(static_cast<uint64_t>(stat.max_ns)) + "}";
+           ",\"total_ns\":" +
+           std::to_string(static_cast<uint64_t>(stat.total_ns)) +
+           ",\"min_ns\":" +
+           std::to_string(static_cast<uint64_t>(stat.min_ns)) +
+           ",\"max_ns\":" +
+           std::to_string(static_cast<uint64_t>(stat.max_ns)) + "}";
   }
   out += "},\"critical_path_ns\":" +
-         U64(static_cast<uint64_t>(profile.CriticalPathNs()));
+         std::to_string(static_cast<uint64_t>(profile.CriticalPathNs()));
   out += ",\"steals\":{\"nodes\":" + std::to_string(report.num_nodes) +
-         ",\"total\":" + U64(report.total_steals) + ",\"matrix\":[";
+         ",\"total\":" + std::to_string(report.total_steals) + ",\"matrix\":[";
   for (size_t i = 0; i < report.steal_matrix.size(); ++i) {
     if (i > 0) out += ',';
-    out += U64(report.steal_matrix[i]);
+    out += std::to_string(report.steal_matrix[i]);
   }
   out += "]},\"counters\":{";
   first = true;
@@ -230,26 +232,15 @@ std::string ExplainReportJson(const ExplainReport& report) {
     first = false;
     out += '"';
     out += name;
-    out += "\":" + U64(delta);
+    out += "\":" + std::to_string(delta);
   }
   out += "}}";
   return out;
 }
 
 Status WriteExplainJson(const ExplainReport& report, const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return UnavailableError("cannot open report file '" + path +
-                            "' for writing");
-  }
-  const std::string json = ExplainReportJson(report);
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  const int close_rc = std::fclose(file);
-  if (written != json.size() || close_rc != 0) {
-    return UnavailableError("short write to report file '" + path + "'");
-  }
-  return OkStatus();
+  return WriteTextFile(path, ExplainReportJson(report),
+                       /*trailing_newline=*/true, "report");
 }
 
 }  // namespace mmjoin::core

@@ -80,12 +80,8 @@ StatusOr<JoinResult> RunChtJoin(numa::NumaSystem* system,
     {
       obs::PhaseScope scope(clock.profiler(), tid,
                             obs::JoinPhase::kPartitionPass1);
-      partitioner.BuildHistogram(tid);
-      barrier.ArriveAndWait();
-      if (tid == 0) partitioner.ComputeOffsets();
-      barrier.ArriveAndWait();
-      partitioner.Scatter(tid, node);
-      barrier.ArriveAndWait();
+      partition::GlobalRadixPartitioner* const pass[] = {&partitioner};
+      partition::RunGlobalPass(pass, tid, node, barrier);
     }
 
     {

@@ -200,17 +200,9 @@ StatusOr<JoinResult> RunMwayJoin(numa::NumaSystem* system,
     {
       obs::PhaseScope scope(clock.profiler(), tid,
                             obs::JoinPhase::kPartitionPass1);
-      r_partitioner.BuildHistogram(tid);
-      s_partitioner.BuildHistogram(tid);
-      barrier.ArriveAndWait();
-      if (tid == 0) {
-        r_partitioner.ComputeOffsets();
-        s_partitioner.ComputeOffsets();
-      }
-      barrier.ArriveAndWait();
-      r_partitioner.Scatter(tid, node);
-      s_partitioner.Scatter(tid, node);
-      barrier.ArriveAndWait();
+      partition::GlobalRadixPartitioner* const pass[] = {&r_partitioner,
+                                                         &s_partitioner};
+      partition::RunGlobalPass(pass, tid, node, barrier);
     }
     if (tid == 0) clock.MarkPartitionEnd();
 

@@ -17,10 +17,12 @@
 // reads) and probes fragment by fragment.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -123,7 +125,7 @@ class Pass1 {
 
   // Pass 1 of every relation in `relations`, run by each worker; the team
   // is synchronized afterwards. Chunked: one chunk-local step. Global:
-  // histograms, offsets (thread 0), scatter.
+  // partition::RunGlobalPass.
   static void Run(std::initializer_list<Pass1*> relations, bool chunked,
                   int tid, int node, thread::Barrier& barrier) {
     if (chunked) {
@@ -131,14 +133,11 @@ class Pass1 {
       barrier.ArriveAndWait();
       return;
     }
-    for (Pass1* r : relations) r->global_->BuildHistogram(tid);
-    barrier.ArriveAndWait();
-    if (tid == 0) {
-      for (Pass1* r : relations) r->global_->ComputeOffsets();
-    }
-    barrier.ArriveAndWait();
-    for (Pass1* r : relations) r->global_->Scatter(tid, node);
-    barrier.ArriveAndWait();
+    std::array<partition::GlobalRadixPartitioner*, 2> globals{};
+    std::size_t n = 0;
+    for (Pass1* r : relations) globals[n++] = r->global_.get();
+    partition::RunGlobalPass(std::span(globals.data(), n), tid, node,
+                             barrier);
   }
 
   // The global pass-1 layout (input of pass 2).

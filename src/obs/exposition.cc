@@ -6,16 +6,10 @@
 
 #include "obs/histogram.h"
 #include "obs/metrics.h"
+#include "util/file.h"
 
 namespace mmjoin::obs {
 namespace {
-
-void AppendU64(std::string* out, uint64_t value) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof(buf), "%llu",
-                              static_cast<unsigned long long>(value));
-  out->append(buf, static_cast<size_t>(n));
-}
 
 bool PrometheusNameChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -45,7 +39,7 @@ std::string WriteExposition() {
     out += " counter\n";
     out += name;
     out += "_total ";
-    AppendU64(&out, metric.value);
+    out += std::to_string(metric.value);
     out += '\n';
   }
 
@@ -60,22 +54,22 @@ std::string WriteExposition() {
       cumulative += h.snapshot.buckets[b];
       out += name;
       out += "_bucket{le=\"";
-      AppendU64(&out, Histogram::BucketUpperBound(b));
+      out += std::to_string(Histogram::BucketUpperBound(b));
       out += "\"} ";
-      AppendU64(&out, cumulative);
+      out += std::to_string(cumulative);
       out += '\n';
     }
     out += name;
     out += "_bucket{le=\"+Inf\"} ";
-    AppendU64(&out, h.snapshot.count);
+    out += std::to_string(h.snapshot.count);
     out += '\n';
     out += name;
     out += "_sum ";
-    AppendU64(&out, h.snapshot.sum);
+    out += std::to_string(h.snapshot.sum);
     out += '\n';
     out += name;
     out += "_count ";
-    AppendU64(&out, h.snapshot.count);
+    out += std::to_string(h.snapshot.count);
     out += '\n';
   }
 
@@ -90,17 +84,7 @@ Status WriteExpositionFile(const std::string& path) {
     std::fflush(stderr);
     return OkStatus();
   }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return UnavailableError("cannot open exposition file '" + path +
-                            "' for writing");
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  const int close_rc = std::fclose(file);
-  if (written != text.size() || close_rc != 0) {
-    return UnavailableError("short write to exposition file '" + path + "'");
-  }
-  return OkStatus();
+  return WriteTextFile(path, text, /*trailing_newline=*/false, "exposition");
 }
 
 }  // namespace mmjoin::obs

@@ -1,10 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/trace.h"
 #include "util/log.h"
+#include "util/file.h"
 
 namespace mmjoin::obs {
 
@@ -77,17 +77,6 @@ std::vector<NamedHistogram> MetricsRegistry::SnapshotHistograms() const {
   return out;
 }
 
-namespace {
-
-void AppendCount(std::string* out, uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  *out += buf;
-}
-
-}  // namespace
-
 std::string MetricsRegistry::Json() const {
   const std::vector<Metric> metrics = Snapshot();
   std::string out = "{\"schema\":\"mmjoin.metrics.v1\",\"counters\":{";
@@ -98,7 +87,7 @@ std::string MetricsRegistry::Json() const {
     out += '"';
     out += metric.name;  // names are code-controlled identifiers, no escaping
     out += "\":";
-    AppendCount(&out, metric.value);
+    out += std::to_string(metric.value);
   }
   out += '}';
   const std::vector<NamedHistogram> histograms = SnapshotHistograms();
@@ -111,17 +100,17 @@ std::string MetricsRegistry::Json() const {
       out += '"';
       out += h.name;
       out += "\":{\"count\":";
-      AppendCount(&out, h.snapshot.count);
+      out += std::to_string(h.snapshot.count);
       out += ",\"sum\":";
-      AppendCount(&out, h.snapshot.sum);
+      out += std::to_string(h.snapshot.sum);
       out += ",\"max\":";
-      AppendCount(&out, h.snapshot.max);
+      out += std::to_string(h.snapshot.max);
       out += ",\"p50\":";
-      AppendCount(&out, h.snapshot.P50());
+      out += std::to_string(h.snapshot.P50());
       out += ",\"p95\":";
-      AppendCount(&out, h.snapshot.P95());
+      out += std::to_string(h.snapshot.P95());
       out += ",\"p99\":";
-      AppendCount(&out, h.snapshot.P99());
+      out += std::to_string(h.snapshot.P99());
       // Sparse [upper_bound, count] pairs for the non-empty buckets only;
       // counts are per-bucket, not cumulative.
       out += ",\"buckets\":[";
@@ -131,9 +120,9 @@ std::string MetricsRegistry::Json() const {
         if (!first_bucket) out += ',';
         first_bucket = false;
         out += '[';
-        AppendCount(&out, Histogram::BucketUpperBound(b));
+        out += std::to_string(Histogram::BucketUpperBound(b));
         out += ',';
-        AppendCount(&out, h.snapshot.buckets[b]);
+        out += std::to_string(h.snapshot.buckets[b]);
         out += ']';
       }
       out += "]}";
@@ -145,19 +134,7 @@ std::string MetricsRegistry::Json() const {
 }
 
 Status MetricsRegistry::WriteJson(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return UnavailableError("cannot open metrics file '" + path +
-                            "' for writing");
-  }
-  const std::string json = Json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  const int close_rc = std::fclose(file);
-  if (written != json.size() || close_rc != 0) {
-    return UnavailableError("short write to metrics file '" + path + "'");
-  }
-  return OkStatus();
+  return WriteTextFile(path, Json(), /*trailing_newline=*/true, "metrics");
 }
 
 namespace {

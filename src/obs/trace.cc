@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/file.h"
+
 namespace mmjoin::obs {
 namespace {
 
@@ -164,18 +166,8 @@ std::string TraceRecorder::ChromeTraceJson() const {
 }
 
 Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return UnavailableError("cannot open trace file '" + path +
-                            "' for writing");
-  }
-  const std::string json = ChromeTraceJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  const int close_rc = std::fclose(file);
-  if (written != json.size() || close_rc != 0) {
-    return UnavailableError("short write to trace file '" + path + "'");
-  }
-  return OkStatus();
+  return WriteTextFile(path, ChromeTraceJson(), /*trailing_newline=*/false,
+                       "trace");
 }
 
 }  // namespace mmjoin::obs

@@ -49,9 +49,11 @@ struct ChunkedLayout {
   }
 };
 
-// Orchestrates chunked partitioning; phases as in GlobalRadixPartitioner but
-// there is no cross-thread offset phase -- callers only need one barrier
-// after PartitionChunk before consuming the layout.
+// Orchestrates chunked partitioning: the global pass's kernel
+// (CountPartitions, ScatterPartitions) with the start cursors taken from
+// the thread's local prefix sum. There is no cross-thread offset phase --
+// callers only need one barrier after PartitionChunk before consuming the
+// layout.
 class ChunkedRadixPartitioner {
  public:
   ChunkedRadixPartitioner(numa::NumaSystem* system,

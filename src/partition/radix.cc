@@ -1,10 +1,6 @@
 #include "partition/radix.h"
 
-#include <algorithm>
-#include <cstring>
-#include <vector>
-
-#include "mem/nt_store.h"
+#include "partition/kernel.h"
 #include "thread/thread_team.h"
 
 namespace mmjoin::partition {
@@ -27,16 +23,8 @@ GlobalRadixPartitioner::GlobalRadixPartitioner(numa::NumaSystem* system,
 void GlobalRadixPartitioner::BuildHistogram(int tid) {
   const thread::Range range =
       thread::ChunkRange(input_.size(), options_.num_threads, tid);
-  // Count into a thread-private array: hist_ packs every thread's counters
-  // into a few cache lines when P is small, and bumping them in place
-  // false-shares those lines between threads.
-  std::vector<uint64_t> hist(num_partitions_);
-  const RadixFn fn = options_.fn;
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    ++hist[fn(input_[i].key)];
-  }
-  std::copy(hist.begin(), hist.end(),
-            hist_.begin() + static_cast<std::ptrdiff_t>(tid) * num_partitions_);
+  CountPartitions(input_.subspan(range.begin, range.size()), options_.fn,
+                  &hist_[static_cast<std::size_t>(tid) * num_partitions_]);
 }
 
 void GlobalRadixPartitioner::ComputeOffsets() {
@@ -57,93 +45,40 @@ void GlobalRadixPartitioner::ComputeOffsets() {
 void GlobalRadixPartitioner::Scatter(int tid, int thread_node) {
   const thread::Range range =
       thread::ChunkRange(input_.size(), options_.num_threads, tid);
-  const RadixFn fn = options_.fn;
-  uint64_t* dst = &dst_[static_cast<std::size_t>(tid) * num_partitions_];
-  Tuple* out = output_.data();
+  ScatterPartitions(input_.subspan(range.begin, range.size()), options_.fn,
+                    &dst_[static_cast<std::size_t>(tid) * num_partitions_],
+                    options_.use_swwcb, output_.data(), system_, thread_node);
+}
 
-  // Account the sequential read of this thread's chunk once.
-  system_->CountRead(thread_node, input_.data() + range.begin,
-                     range.size() * sizeof(Tuple));
-
-  const bool accounting = system_->accounting_enabled();
-
-  if (!options_.use_swwcb) {
-    // PRB-style direct scatter: every tuple is a random write into one of P
-    // pages. Thread-private cursors, like the histogram above.
-    std::vector<uint64_t> cursor(dst, dst + num_partitions_);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      const Tuple t = input_[i];
-      const uint64_t pos = cursor[fn(t.key)]++;
-      out[pos] = t;
-      if (MMJOIN_UNLIKELY(accounting)) {
-        system_->CountWrite(thread_node, out + pos, sizeof(Tuple));
-      }
-    }
-    std::copy(cursor.begin(), cursor.end(), dst);
-    return;
+void RunGlobalPass(std::span<GlobalRadixPartitioner* const> partitioners,
+                   int tid, int thread_node, thread::Barrier& barrier) {
+  for (GlobalRadixPartitioner* p : partitioners) p->BuildHistogram(tid);
+  barrier.ArriveAndWait();
+  if (tid == 0) {
+    for (GlobalRadixPartitioner* p : partitioners) p->ComputeOffsets();
   }
-
-  // SWWCB scatter.
-  std::vector<CacheLineBuffer> buffers(num_partitions_);
-  std::vector<ScatterCursor> cursors(num_partitions_);
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    cursors[p] = ScatterCursor{dst[p], dst[p]};
-  }
-
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    const Tuple t = input_[i];
-    const uint32_t p = fn(t.key);
-    if (MMJOIN_UNLIKELY(accounting)) {
-      const uint64_t pos = cursors[p].next;
-      if ((pos & (kTuplesPerCacheLine - 1)) == kTuplesPerCacheLine - 1) {
-        system_->CountWrite(thread_node,
-                            out + (pos - (kTuplesPerCacheLine - 1)),
-                            kCacheLineSize);
-      }
-    }
-    SwwcbPush(out, buffers.data(), cursors.data(), p, t);
-  }
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    if (MMJOIN_UNLIKELY(accounting)) {
-      const uint64_t line_base =
-          cursors[p].next & ~uint64_t{kTuplesPerCacheLine - 1};
-      const uint64_t begin =
-          line_base > cursors[p].start ? line_base : cursors[p].start;
-      if (cursors[p].next > begin) {
-        system_->CountWrite(thread_node, out + begin,
-                            (cursors[p].next - begin) * sizeof(Tuple));
-      }
-    }
-    SwwcbDrain(out, buffers.data(), cursors.data(), p);
-  }
-  mem::StreamFence();
-
-  // Record final write positions for callers that continue appending.
-  for (uint32_t p = 0; p < num_partitions_; ++p) dst[p] = cursors[p].next;
+  barrier.ArriveAndWait();
+  for (GlobalRadixPartitioner* p : partitioners) p->Scatter(tid, thread_node);
+  barrier.ArriveAndWait();
 }
 
 PartitionLayout SubPartitionSerial(ConstTupleSpan input, TupleSpan output,
                                    RadixFn fn) {
   MMJOIN_CHECK(input.size() == output.size());
   const uint32_t num_partitions = fn.num_partitions();
+  // Count into offsets[0, P), then turn the counts into their exclusive
+  // prefix sum in place.
   PartitionLayout layout;
   layout.offsets.assign(num_partitions + 1, 0);
-
-  std::vector<uint64_t> hist(num_partitions, 0);
-  for (const Tuple& t : input) ++hist[fn(t.key)];
-
+  CountPartitions(input, fn, layout.offsets.data());
   uint64_t running = 0;
-  std::vector<uint64_t> cursor(num_partitions);
-  for (uint32_t p = 0; p < num_partitions; ++p) {
+  for (uint32_t p = 0; p <= num_partitions; ++p) {
+    const uint64_t count = layout.offsets[p];
     layout.offsets[p] = running;
-    cursor[p] = running;
-    running += hist[p];
+    running += count;
   }
-  layout.offsets[num_partitions] = running;
-
-  for (const Tuple& t : input) {
-    output[cursor[fn(t.key)]++] = t;
-  }
+  ScatterPartitions(input, fn, layout.offsets.data(), /*use_swwcb=*/false,
+                    output.data(), /*system=*/nullptr, /*thread_node=*/0);
   return layout;
 }
 

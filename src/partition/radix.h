@@ -1,22 +1,28 @@
 // Parallel radix partitioning (global histogram variant, paper Section 6.1,
 // Figure 4(a)).
 //
-// Phases (caller drives the thread team and barriers):
+// Phases:
 //   (1) each thread builds a histogram over its input chunk,
 //   (2) histograms are merged into global output offsets,
 //   (3) each thread scatters its chunk to the shared output, optionally via
 //       software write-combine buffers with non-temporal flushes.
-// A serial sub-partitioning routine supports the second pass of two-pass
-// radix joins (PRB), where whole first-pass partitions are work-queue tasks.
+// RunGlobalPass drives them on a thread team. A serial sub-partitioning
+// routine supports the second pass of two-pass radix joins (PRB), where
+// whole first-pass partitions are work-queue tasks.
+//
+// Every pass -- global, chunked (chunked.h) and pass 2 -- runs the same
+// kernel (kernel.h); the passes differ only in where a thread's
+// per-partition start cursors come from.
 
 #ifndef MMJOIN_PARTITION_RADIX_H_
 #define MMJOIN_PARTITION_RADIX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "numa/system.h"
-#include "partition/swwcb.h"
+#include "thread/thread_team.h"
 #include "util/macros.h"
 #include "util/types.h"
 
@@ -51,8 +57,8 @@ struct PartitionLayout {
   }
 };
 
-// Orchestrates one global radix pass. The caller runs phases from its thread
-// team with barriers in between:
+// Orchestrates one global radix pass. RunGlobalPass runs its phases on a
+// thread team; a caller may also run them itself, with barriers in between:
 //
 //   GlobalRadixPartitioner part(sys, opts, input, output);
 //   // per thread:            part.BuildHistogram(tid);
@@ -83,6 +89,14 @@ class GlobalRadixPartitioner {
   std::vector<uint64_t> dst_;
   PartitionLayout layout_;
 };
+
+// Pass 1 of every partitioner in `partitioners`, run by worker `tid` (on
+// `thread_node`) of the team that `barrier` synchronizes: histograms,
+// barrier, offsets (thread 0), barrier, scatter, barrier. Partitioning
+// several relations in one call shares the barriers; each output is the
+// same as partitioning that relation alone.
+void RunGlobalPass(std::span<GlobalRadixPartitioner* const> partitioners,
+                   int tid, int thread_node, thread::Barrier& barrier);
 
 // Serially radix-partitions `input` (one first-pass partition) into the
 // same-sized `output` range; returns local offsets (size P+1, relative to

@@ -151,10 +151,6 @@ void SetLogLevel(LogLevel level) {
   Threshold().store(static_cast<uint8_t>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevelSetting() {
-  return static_cast<LogLevel>(Threshold().load(std::memory_order_relaxed));
-}
-
 LogStats GetLogStats() {
   Counters& counters = GetCounters();
   LogStats stats;
@@ -313,14 +309,6 @@ void SetLogFormatForTest(LogFormat format) {
   LogSink& sink = Sink();
   std::lock_guard<std::mutex> lock(sink.mutex);
   sink.format_override = format;
-}
-
-void ResetLogStatsForTest() {
-  Counters& counters = GetCounters();
-  for (int i = 0; i < kNumLogLevels; ++i) {
-    counters.emitted[i].store(0, std::memory_order_relaxed);
-  }
-  counters.suppressed.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mmjoin::logging

@@ -48,17 +48,10 @@ const char* LogLevelName(LogLevel level);  // "debug", "info", ...
 bool LogEnabled(LogLevel level);
 
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevelSetting();
 
 struct LogStats {
   uint64_t emitted[kNumLogLevels] = {};  // indexed by LogLevel
   uint64_t suppressed = 0;               // filtered by the threshold
-
-  uint64_t TotalEmitted() const {
-    uint64_t total = 0;
-    for (const uint64_t count : emitted) total += count;
-    return total;
-  }
 };
 LogStats GetLogStats();
 
@@ -103,7 +96,6 @@ void AppendJsonEscaped(std::string* out, std::string_view value);
 enum class LogFormat : uint8_t { kDefault, kText, kJson };
 void SetLogCaptureForTest(std::string* capture);
 void SetLogFormatForTest(LogFormat format);
-void ResetLogStatsForTest();
 
 }  // namespace mmjoin::logging
 

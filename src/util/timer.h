@@ -16,12 +16,11 @@ inline int64_t NowNanos() {
       .count();
 }
 
-// Simple restartable stopwatch.
+// Simple stopwatch, started at construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(NowNanos()) {}
 
-  void Restart() { start_ = NowNanos(); }
   int64_t ElapsedNanos() const { return NowNanos() - start_; }
   double ElapsedSeconds() const {
     return static_cast<double>(ElapsedNanos()) * 1e-9;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "numa/system.h"
@@ -204,45 +205,50 @@ TEST(SubPartitionSerial, RefinesAPartition) {
 class ChunkedPartitionTest
     : public ::testing::TestWithParam<std::tuple<int, uint32_t>> {};
 
+// Runs the chunked pass with the SWWCB and with the plain scatter; no join
+// runs the latter.
 TEST_P(ChunkedPartitionTest, FragmentsCoverChunksExactly) {
-  const auto [threads, bits] = GetParam();
-  const auto input = RandomTuples(17777, 1u << 20, 13);
-  std::vector<Tuple> output(input.size());
+  for (const bool swwcb : {true, false}) {
+    SCOPED_TRACE(swwcb ? "swwcb" : "plain");
+    const auto [threads, bits] = GetParam();
+    const auto input = RandomTuples(17777, 1u << 20, 13);
+    std::vector<Tuple> output(input.size());
 
-  RadixOptions options;
-  options.fn = RadixFn{0, bits};
-  options.use_swwcb = true;
-  options.num_threads = threads;
-  ChunkedRadixPartitioner partitioner(
-      System(), options, ConstTupleSpan(input.data(), input.size()),
-      TupleSpan(output.data(), output.size()));
-  RunChunkedPartition(&partitioner, threads);
+    RadixOptions options;
+    options.fn = RadixFn{0, bits};
+    options.use_swwcb = swwcb;
+    options.num_threads = threads;
+    ChunkedRadixPartitioner partitioner(
+        System(), options, ConstTupleSpan(input.data(), input.size()),
+        TupleSpan(output.data(), output.size()));
+    RunChunkedPartition(&partitioner, threads);
 
-  const ChunkedLayout& layout = partitioner.layout();
-  ASSERT_EQ(layout.num_chunks, threads);
-  ASSERT_EQ(layout.num_partitions, 1u << bits);
+    const ChunkedLayout& layout = partitioner.layout();
+    ASSERT_EQ(layout.num_chunks, threads);
+    ASSERT_EQ(layout.num_partitions, 1u << bits);
 
-  // Per chunk: fragments tile the chunk range; tuples are in their radix
-  // partition; the chunk's output is a permutation of the chunk's input.
-  uint64_t total = 0;
-  for (int c = 0; c < threads; ++c) {
-    const thread::Range range =
-        thread::ChunkRange(input.size(), threads, c);
-    uint64_t cursor = range.begin;
-    for (uint32_t p = 0; p < layout.num_partitions; ++p) {
-      ASSERT_EQ(layout.FragmentOffset(c, p), cursor);
-      const uint64_t size = layout.FragmentSize(c, p);
-      for (uint64_t i = cursor; i < cursor + size; ++i) {
-        ASSERT_EQ(options.fn(output[i].key), p);
+    // Per chunk: fragments tile the chunk range; tuples are in their radix
+    // partition; the chunk's output is a permutation of the chunk's input.
+    uint64_t total = 0;
+    for (int c = 0; c < threads; ++c) {
+      const thread::Range range =
+          thread::ChunkRange(input.size(), threads, c);
+      uint64_t cursor = range.begin;
+      for (uint32_t p = 0; p < layout.num_partitions; ++p) {
+        ASSERT_EQ(layout.FragmentOffset(c, p), cursor);
+        const uint64_t size = layout.FragmentSize(c, p);
+        for (uint64_t i = cursor; i < cursor + size; ++i) {
+          ASSERT_EQ(options.fn(output[i].key), p);
+        }
+        cursor += size;
+        total += size;
       }
-      cursor += size;
-      total += size;
+      ASSERT_EQ(cursor, range.end);
+      EXPECT_EQ(PackedMultiset(output.data() + range.begin, range.size()),
+                PackedMultiset(input.data() + range.begin, range.size()));
     }
-    ASSERT_EQ(cursor, range.end);
-    EXPECT_EQ(PackedMultiset(output.data() + range.begin, range.size()),
-              PackedMultiset(input.data() + range.begin, range.size()));
+    EXPECT_EQ(total, input.size());
   }
-  EXPECT_EQ(total, input.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChunkedPartitionTest,
@@ -348,6 +354,95 @@ TEST(GlobalPartition, HasRemoteWrites) {
   // remote to it.
   EXPECT_GT(system.counters()->TotalRemoteWriteBytes(),
             system.counters()->TotalLocalWriteBytes());
+}
+
+// MWAY and the radix joins partition R and S in one team pass; sharing the
+// barriers must not change either output.
+TEST(GlobalPartition, TeamPassOfTwoRelationsMatchesEachAlone) {
+  const auto r = RandomTuples(9001, 1u << 20, 51);
+  const auto s = RandomTuples(23456, 1u << 20, 52);
+  RadixOptions options;
+  options.fn = RadixFn{0, 5};
+  options.use_swwcb = true;
+  options.num_threads = 3;
+  auto run = [&](std::vector<Tuple>* r_out, std::vector<Tuple>* s_out) {
+    std::vector<GlobalRadixPartitioner> parts;
+    std::vector<GlobalRadixPartitioner*> pass;
+    if (r_out != nullptr) {
+      parts.emplace_back(System(), options, ConstTupleSpan(r.data(), r.size()),
+                         TupleSpan(r_out->data(), r_out->size()));
+    }
+    if (s_out != nullptr) {
+      parts.emplace_back(System(), options, ConstTupleSpan(s.data(), s.size()),
+                         TupleSpan(s_out->data(), s_out->size()));
+    }
+    for (GlobalRadixPartitioner& part : parts) pass.push_back(&part);
+    const Status status = thread::GlobalExecutor().Dispatch(
+        3, [&](const thread::WorkerContext& ctx) {
+          RunGlobalPass(pass, ctx.thread_id, 0, *ctx.barrier);
+        });
+    EXPECT_TRUE(status.ok());
+    std::vector<std::vector<uint64_t>> offsets;
+    for (const GlobalRadixPartitioner& part : parts) {
+      offsets.push_back(part.layout().offsets);
+    }
+    return offsets;
+  };
+  std::vector<Tuple> r_alone(r.size()), s_alone(s.size());
+  std::vector<Tuple> r_both(r.size()), s_both(s.size());
+  const auto r_offsets = run(&r_alone, nullptr);
+  const auto s_offsets = run(nullptr, &s_alone);
+  const auto both_offsets = run(&r_both, &s_both);
+  ASSERT_EQ(both_offsets.size(), 2u);
+  EXPECT_EQ(both_offsets[0], r_offsets[0]);
+  EXPECT_EQ(both_offsets[1], s_offsets[0]);
+  EXPECT_EQ(r_both, r_alone);
+  EXPECT_EQ(s_both, s_alone);
+}
+
+// Every scatter accounts exactly the bytes it writes. A thread's partial
+// SWWCB head line starts with the previous thread's tuples, which it does
+// not write.
+TEST(PartitionAccounting, WriteBytesEqualTuplesWritten) {
+  constexpr uint64_t kTuples = 1000003;
+  constexpr int kThreads = 4;
+  for (const bool chunked : {false, true}) {
+    for (const bool swwcb : {false, true}) {
+      for (const uint32_t bits : {1u, 4u, 8u}) {
+        SCOPED_TRACE(std::string(chunked ? "chunked" : "global") +
+                     (swwcb ? " swwcb" : " plain") + " bits " +
+                     std::to_string(bits));
+        numa::NumaSystem system(4);
+        workload::Relation rel =
+            workload::MakeDenseBuild(&system, kTuples, 7).value();
+        numa::NumaBuffer<Tuple> output(&system, rel.size(),
+                                       numa::Placement::kChunkedRoundRobin);
+        RadixOptions options;
+        options.fn = RadixFn{0, bits};
+        options.use_swwcb = swwcb;
+        options.num_threads = kThreads;
+        const TupleSpan out(output.data(), output.size());
+        GlobalRadixPartitioner global(&system, options, rel.cspan(), out);
+        ChunkedRadixPartitioner chunk(&system, options, rel.cspan(), out);
+        system.EnableAccounting();
+        const Status status = thread::GlobalExecutor().Dispatch(
+            kThreads, [&](const thread::WorkerContext& ctx) {
+              const int node =
+                  system.topology().NodeOfThread(ctx.thread_id, kThreads);
+              if (chunked) {
+                chunk.PartitionChunk(ctx.thread_id, node);
+              } else {
+                GlobalRadixPartitioner* const pass[] = {&global};
+                RunGlobalPass(pass, ctx.thread_id, node, *ctx.barrier);
+              }
+            });
+        ASSERT_TRUE(status.ok());
+        EXPECT_EQ(system.counters()->TotalLocalWriteBytes() +
+                      system.counters()->TotalRemoteWriteBytes(),
+                  kTuples * sizeof(Tuple));
+      }
+    }
+  }
 }
 
 // ---- Equation (1) model ----------------------------------------------------
