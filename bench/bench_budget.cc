@@ -34,7 +34,7 @@ constexpr join::Algorithm kAlgorithms[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags());
   const bench::BenchEnv env = bench::BenchEnv::FromCli(
       cli, /*default_build=*/1'000'000, /*default_probe=*/4'000'000);
   bench::PrintBanner(

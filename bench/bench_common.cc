@@ -100,6 +100,14 @@ void AppendBenchRecord(const char* algorithm, int repeat_index,
   std::fwrite(line.data(), 1, line.size(), sinks.json);
 }
 
+std::vector<std::string> BenchFlags(std::vector<std::string> extra) {
+  for (const char* name : {"build", "probe", "threads", "nodes", "repeat",
+                           "seed", "pages", "json", "trace"}) {
+    extra.emplace_back(name);
+  }
+  return extra;
+}
+
 BenchEnv BenchEnv::FromCli(const CommandLine& cli, uint64_t default_build,
                            uint64_t default_probe, int default_threads) {
   BenchEnv env;

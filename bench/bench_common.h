@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/mmjoin.h"
 #include "util/cli.h"
@@ -34,6 +35,10 @@ struct BenchEnv {
   static BenchEnv FromCli(const CommandLine& cli, uint64_t default_build,
                           uint64_t default_probe, int default_threads = 4);
 };
+
+// The flag names a harness declares to CommandLine: the BenchEnv set above
+// plus the harness's own `extra` names.
+std::vector<std::string> BenchFlags(std::vector<std::string> extra = {});
 
 // Prints the standard harness banner: which paper artifact this reproduces
 // and with which scaled-down parameters.

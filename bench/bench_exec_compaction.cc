@@ -31,7 +31,7 @@ constexpr double kThresholds[] = {0.0, 0.25, 0.50, 1.00};
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags({"bits"}));
   const bench::BenchEnv env = bench::BenchEnv::FromCli(
       cli, /*default_build=*/1'000'000, /*default_probe=*/4'000'000);
   const auto radix_bits = static_cast<uint32_t>(cli.GetInt("bits", 11));

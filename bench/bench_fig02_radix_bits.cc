@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv,
+                         bench::BenchFlags({"min_bits", "max_bits"}));
   const bench::BenchEnv env =
       bench::BenchEnv::FromCli(cli, 1u << 20, 10u << 20);
   const uint32_t min_bits =

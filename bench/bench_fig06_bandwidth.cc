@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags({"bits", "slices"}));
   const bench::BenchEnv env =
       bench::BenchEnv::FromCli(cli, 1u << 20, 10u << 20);
   const int slices = static_cast<int>(cli.GetInt("slices", 10));

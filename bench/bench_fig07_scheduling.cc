@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags());
   const bench::BenchEnv env =
       bench::BenchEnv::FromCli(cli, 1u << 20, 10u << 20);
 

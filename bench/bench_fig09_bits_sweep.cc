@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv,
+                         bench::BenchFlags({"min_bits", "max_bits", "ratio"}));
   const bench::BenchEnv env = bench::BenchEnv::FromCli(cli, 1u << 20, 0);
   const uint32_t min_bits = static_cast<uint32_t>(cli.GetInt("min_bits", 4));
   const uint32_t max_bits =

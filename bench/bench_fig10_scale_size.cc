@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags({"min_build"}));
   bench::BenchEnv env = bench::BenchEnv::FromCli(cli, 1u << 22, 0);
   if (!cli.Has("repeat")) env.repeat = 1;  // the large sizes dominate
   const uint64_t min_build =

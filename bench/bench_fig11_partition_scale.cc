@@ -67,7 +67,7 @@ double ChunkedPartitionNsPerTuple(numa::NumaSystem* system,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags({"min_tuples"}));
   const bench::BenchEnv env = bench::BenchEnv::FromCli(cli, 1u << 22, 0);
   const uint64_t min_tuples =
       static_cast<uint64_t>(cli.GetInt("min_tuples", 1 << 16));

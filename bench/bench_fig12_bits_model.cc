@@ -10,7 +10,9 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv,
+                         bench::BenchFlags({"min_bits", "max_bits",
+                                            "min_build", "ratio"}));
   const bench::BenchEnv env = bench::BenchEnv::FromCli(cli, 1u << 21, 0);
   const uint64_t min_build =
       static_cast<uint64_t>(cli.GetInt("min_build", 1 << 16));

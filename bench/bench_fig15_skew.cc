@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags());
   bench::BenchEnv env =
       bench::BenchEnv::FromCli(cli, 1u << 22, 0);
   if (!cli.Has("repeat")) env.repeat = 1;

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags({"sf"}));
   const bench::BenchEnv env = bench::BenchEnv::FromCli(cli, 0, 0);
   const double sf = cli.GetDouble("sf", 0.1);
 

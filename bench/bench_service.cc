@@ -35,7 +35,8 @@ constexpr int kNumAlgorithms = 3;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv,
+                         bench::BenchFlags({"jobs", "lanes", "zipf"}));
   const bench::BenchEnv env = bench::BenchEnv::FromCli(
       cli, /*default_build=*/200'000, /*default_probe=*/800'000);
   const int max_lanes = std::max(1, static_cast<int>(cli.GetInt("lanes", 3)));

@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace mmjoin;
   using namespace mmjoin::memsim;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, bench::BenchFlags());
   const bench::BenchEnv env =
       bench::BenchEnv::FromCli(cli, 1u << 22, 1u << 23);
 

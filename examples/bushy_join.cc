@@ -87,7 +87,8 @@ std::vector<Tuple> Rekey(const std::vector<join::MatchedPair>& index) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv,
+                        {"dim", "fact1", "fact2", "threshold", "threads"});
   const uint64_t dim = cli.GetInt("dim", 4096);
   const uint64_t fact1 = cli.GetInt("fact1", 200'000);
   const uint64_t fact2 = cli.GetInt("fact2", 150'000);

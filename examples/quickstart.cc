@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"build", "probe", "threads"});
   const uint64_t build_size = cli.GetInt("build", 1'000'000);
   const uint64_t probe_size = cli.GetInt("probe", 10'000'000);
   const int threads = static_cast<int>(cli.GetInt("threads", 4));

@@ -21,7 +21,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "core/explain.h"
 #include "core/mmjoin.h"
@@ -81,7 +84,12 @@ void PrintProfile(const mmjoin::obs::PhaseProfile& profile,
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(
+      argc, argv,
+      {"bits", "build", "dump-metrics", "explain", "explain-json", "holes",
+       "join", "list", "listen", "mem-budget", "metrics", "nodes",
+       "numa_profile", "probe", "profile", "repeat", "seed", "threads",
+       "trace", "zipf"});
 
   if (cli.Has("list")) {
     TablePrinter table({"name", "class", "description"});
@@ -193,15 +201,17 @@ int main(int argc, char** argv) {
   // --repeat=N: keep the fastest run (same rule for every repeat, so the
   // printed numbers stay comparable across invocations); profiles come from
   // that run too.
-  // --explain: counter deltas bracket the measurement loop, so the report
-  // narrates exactly what this invocation's runs did.
+  // --explain: a counter snapshot pair brackets each repeat and the kept
+  // run's pair goes into the report, so its counters, steal matrix and
+  // phases all describe that one run.
+  const bool explaining = explain || !explain_json.empty();
   std::map<std::string, uint64_t> counters_before;
-  if (explain || !explain_json.empty()) {
-    counters_before = obs::MetricsRegistry::Get().SnapshotMap();
-  }
+  std::map<std::string, uint64_t> counters_after;
 
   join::JoinResult result;
   for (int i = 0; i < (repeat > 0 ? repeat : 1); ++i) {
+    std::map<std::string, uint64_t> run_before;
+    if (explaining) run_before = obs::MetricsRegistry::Get().SnapshotMap();
     StatusOr<join::JoinResult> result_or =
         join::RunJoin(*algorithm, &system, config, build, probe);
     if (!result_or.ok()) {
@@ -215,6 +225,10 @@ int main(int argc, char** argv) {
     join::JoinResult this_run = std::move(result_or).value();
     if (i == 0 || this_run.times.total_ns < result.times.total_ns) {
       result = std::move(this_run);
+      if (explaining) {
+        counters_before = std::move(run_before);
+        counters_after = obs::MetricsRegistry::Get().SnapshotMap();
+      }
     }
   }
 
@@ -245,10 +259,10 @@ int main(int argc, char** argv) {
   }
 
   if (profile) PrintProfile(result.profile, result.matches);
-  if (explain || !explain_json.empty()) {
+  if (explaining) {
     const core::ExplainReport report = core::BuildExplainReport(
         join::NameOf(*algorithm), result, build_size, probe_size, threads,
-        &system, counters_before, obs::MetricsRegistry::Get().SnapshotMap());
+        counters_before, counters_after);
     if (explain) {
       std::printf("\n%s", core::FormatExplainText(report).c_str());
     }

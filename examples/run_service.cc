@@ -27,7 +27,9 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv,
+                        {"build", "jobs", "lanes", "listen", "nodes", "probe",
+                         "seed", "tenant-jobs", "tenants", "threads", "zipf"});
 
   const int num_tenants = static_cast<int>(cli.GetInt("tenants", 3));
   const int jobs_per_tenant = static_cast<int>(cli.GetInt("jobs", 4));

@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"fact", "seed", "threads"});
   const uint64_t fact_rows = cli.GetInt("fact", 8'000'000);
   const int threads = static_cast<int>(cli.GetInt("threads", 4));
   const uint64_t seed = cli.GetInt("seed", 42);

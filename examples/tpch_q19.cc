@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmjoin;
-  const CommandLine cli(argc, argv);
+  const CommandLine cli(argc, argv, {"join", "selectivity", "sf", "threads"});
   const double sf = cli.GetDouble("sf", 0.25);
   const int threads = static_cast<int>(cli.GetInt("threads", 4));
   const std::string name = cli.GetString("join", "NOPA");

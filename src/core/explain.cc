@@ -56,51 +56,17 @@ class Rows {
 
 }  // namespace
 
-std::vector<uint64_t> SnapshotStealMatrix(const numa::NumaSystem* system) {
-  std::vector<uint64_t> matrix;
-  if (system == nullptr) return matrix;
-  const int num_nodes = system->topology().num_nodes();
-  matrix.reserve(static_cast<size_t>(num_nodes) * num_nodes);
-  for (int thief = 0; thief < num_nodes; ++thief) {
-    for (int victim = 0; victim < num_nodes; ++victim) {
-      matrix.push_back(system->TaskSteals(thief, victim));
-    }
-  }
-  return matrix;
-}
-
 ExplainReport BuildExplainReport(
     std::string_view algorithm, const join::JoinResult& result,
     uint64_t build_size, uint64_t probe_size, int threads,
-    const numa::NumaSystem* system,
     const std::map<std::string, uint64_t>& counters_before,
-    const std::map<std::string, uint64_t>& counters_after,
-    const std::vector<uint64_t>* steals_before) {
+    const std::map<std::string, uint64_t>& counters_after) {
   ExplainReport report;
   report.algorithm = std::string(algorithm);
   report.build_size = build_size;
   report.probe_size = probe_size;
   report.threads = threads;
   report.result = result;
-  if (system != nullptr) {
-    report.num_nodes = system->topology().num_nodes();
-    report.steal_matrix = SnapshotStealMatrix(system);
-    // With a baseline, report the run's own steals; the matrix is
-    // monotonic, so a mismatched or stale baseline clamps to zero rather
-    // than underflowing.
-    if (steals_before != nullptr &&
-        steals_before->size() == report.steal_matrix.size()) {
-      for (size_t i = 0; i < report.steal_matrix.size(); ++i) {
-        const uint64_t before = (*steals_before)[i];
-        report.steal_matrix[i] -=
-            before < report.steal_matrix[i] ? before : report.steal_matrix[i];
-      }
-    }
-    report.total_steals = 0;
-    for (const uint64_t steals : report.steal_matrix) {
-      report.total_steals += steals;
-    }
-  }
   for (const auto& [name, after] : counters_after) {
     const auto it = counters_before.find(name);
     const uint64_t before = it == counters_before.end() ? 0 : it->second;
@@ -152,19 +118,20 @@ std::string FormatExplainText(const ExplainReport& report) {
          "ms (sum of slowest thread per phase) vs wall total " +
          Ms(times.total_ns) + "ms\n";
 
+  const join::TaskStats& tasks = report.result.tasks;
   out += "\n  -- NUMA task steals: total=" +
-         std::to_string(report.total_steals) + " --\n";
-  if (report.num_nodes > 0 && report.total_steals > 0) {
+         std::to_string(tasks.tasks_stolen) + " --\n";
+  if (tasks.tasks_stolen > 0) {
     std::vector<std::string> header{"thief\\victim"};
-    for (int v = 0; v < report.num_nodes; ++v) {
+    for (int v = 0; v < tasks.num_nodes; ++v) {
       header.push_back("n" + std::to_string(v));
     }
     Rows rows(std::move(header));
-    for (int t = 0; t < report.num_nodes; ++t) {
+    for (int t = 0; t < tasks.num_nodes; ++t) {
       std::vector<std::string> row{"n" + std::to_string(t)};
-      for (int v = 0; v < report.num_nodes; ++v) {
+      for (int v = 0; v < tasks.num_nodes; ++v) {
         row.push_back(std::to_string(
-            report.steal_matrix[static_cast<size_t>(t) * report.num_nodes + v]));
+            tasks.steal_matrix[static_cast<size_t>(t) * tasks.num_nodes + v]));
       }
       rows.Add(std::move(row));
     }
@@ -219,11 +186,12 @@ std::string ExplainReportJson(const ExplainReport& report) {
   }
   out += "},\"critical_path_ns\":" +
          std::to_string(static_cast<uint64_t>(profile.CriticalPathNs()));
-  out += ",\"steals\":{\"nodes\":" + std::to_string(report.num_nodes) +
-         ",\"total\":" + std::to_string(report.total_steals) + ",\"matrix\":[";
-  for (size_t i = 0; i < report.steal_matrix.size(); ++i) {
+  const join::TaskStats& tasks = report.result.tasks;
+  out += ",\"steals\":{\"nodes\":" + std::to_string(tasks.num_nodes) +
+         ",\"total\":" + std::to_string(tasks.tasks_stolen) + ",\"matrix\":[";
+  for (size_t i = 0; i < tasks.steal_matrix.size(); ++i) {
     if (i > 0) out += ',';
-    out += std::to_string(report.steal_matrix[i]);
+    out += std::to_string(tasks.steal_matrix[i]);
   }
   out += "]},\"counters\":{";
   first = true;

@@ -17,11 +17,9 @@
 #include "join/join_defs.h"
 #include "mem/budget.h"
 #include "numa/system.h"
-#include "obs/metrics.h"
 #include "obs/phase_profile.h"
 #include "partition/model.h"
 #include "thread/executor.h"
-#include "thread/task_queue.h"
 #include "util/annotations.h"
 #include "util/failpoint.h"
 #include "util/macros.h"
@@ -148,39 +146,6 @@ class SkewBuildSlots {
  private:
   std::unordered_map<uint32_t, std::unique_ptr<Slot>> slots_;
 };
-
-// Exports one run's work-stealing telemetry. Called once per join run after
-// the dispatch returns (even for runs that stole nothing, so the counters
-// are always present in exported metrics).
-inline void FlushStealMetrics(const thread::ShardedTaskQueue& queue) {
-  const thread::ShardedTaskQueue::RunStats stats = queue.run_stats();
-  obs::MetricsRegistry::Get().AddCounter("join.tasks_stolen",
-                                         stats.tasks_stolen);
-  obs::MetricsRegistry::Get().AddCounter("join.steal_remote_reads",
-                                         stats.steal_remote_read_bytes);
-  // Distribution of steals per dispatch (one sample per run, zeros
-  // included): the shape separates "rare dispatches steal everything"
-  // from "every dispatch steals a little".
-  static obs::Histogram* const steals =
-      obs::MetricsRegistry::Get().GetHistogram("join.steals_per_dispatch");
-  steals->Record(stats.tasks_stolen);
-}
-
-// The queue a join run schedules its co-partition tasks on: the executor's
-// persistent sharded queue when its shard count matches the join's software
-// topology, else `fallback` (a run-local queue sized to the topology).
-// Mismatches only happen when a caller pairs an executor with a NumaSystem
-// modeling a different node count.
-inline thread::ShardedTaskQueue* SelectJoinQueue(
-    thread::Executor& executor, const numa::NumaSystem& system,
-    std::unique_ptr<thread::ShardedTaskQueue>* fallback) {
-  const int num_nodes = system.topology().num_nodes();
-  if (executor.join_queue().num_shards() == num_nodes) {
-    return &executor.join_queue();
-  }
-  *fallback = std::make_unique<thread::ShardedTaskQueue>(num_nodes);
-  return fallback->get();
-}
 
 // Canonical per-phase allocation failpoints. Inline functions (not the
 // macro) so every join TU evaluates the *same* registered failpoint --

@@ -79,6 +79,23 @@ struct PhaseTimes {
   int64_t total_ns = 0;
 };
 
+// Scheduling telemetry of one PR*/CPR* run, counted by the run's own task
+// queue over every spill wave (docs/EXECUTION.md). RunJoin adds the scalar
+// fields to the join.* counters of the same names once per successful
+// partition-based run; EXPLAIN prints the steal matrix. Joins that use no
+// task queue report zeros.
+struct TaskStats {
+  uint64_t tasks_seeded = 0;        // tasks placed on the queue
+  uint64_t skew_slices = 0;         // tasks beyond one per partition
+  uint64_t skew_partitions = 0;     // partitions split into probe slices
+  uint64_t tasks_stolen = 0;        // cross-node steals; sums steal_matrix
+  uint64_t steal_remote_reads = 0;  // bytes thieves read across nodes
+  // The run's NumaSystem node count; steal_matrix is row-major
+  // [thief_node * num_nodes + victim_node], num_nodes^2 cells.
+  int num_nodes = 0;
+  std::vector<uint64_t> steal_matrix;
+};
+
 // Aggregate join output. `checksum` is the order-independent sum of
 // build.payload + probe.payload over all matched pairs, so any two correct
 // algorithms agree on (matches, checksum).
@@ -89,6 +106,8 @@ struct JoinResult {
   // Whitebox per-phase breakdown (per-thread min/max/mean wall clock, plus
   // hardware-counter deltas when observability was enabled).
   obs::PhaseProfile profile;
+  // Output only: filled by the run, never read from a caller.
+  TaskStats tasks;
 
   // The study's throughput metric: (|R| + |S|) / runtime, in million input
   // tuples per second (paper Section 1, definition from Lang et al.).

@@ -24,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hash/array_table.h"
@@ -32,7 +33,6 @@
 #include "join/internal.h"
 #include "join/join_plan.h"
 #include "numa/system.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/chunked.h"
 #include "partition/radix.h"
@@ -185,9 +185,9 @@ void SubPartition(numa::NumaSystem* system, int node, const Tuple* mid,
   }
 }
 
-// Seeds the sharded queue for one wave; thread 0, between barriers.
-// BeginRun comes first so a failed seed leaves the queue empty, not stale.
-// Within each shard tasks are consumed in the plan's task order:
+// Seeds the run's queue for one wave and adds the wave's tasks to `stats`;
+// thread 0, between barriers. Within each shard tasks are consumed in the
+// plan's task order:
 //
 //   * Global layouts: a task goes to the node its probe slice lives on
 //     (partition buffers are kChunkedRoundRobin, so NodeOfOffset reproduces
@@ -200,11 +200,9 @@ void SubPartition(numa::NumaSystem* system, int node, const Tuple* mid,
 //     prefetching within the chunk fragments). Slices split the chunk
 //     range, so more slices than chunks would leave empty slices: cap there.
 Status SeedQueue(thread::ShardedTaskQueue* queue, SkewBuildSlots* slots,
-                 numa::NumaSystem* system, const JoinConfig& config,
+                 const numa::Topology& topology, const JoinConfig& config,
                  const JoinPlan& plan, const ChunkedLayout& s_layout,
-                 uint64_t probe_size) {
-  const numa::Topology& topology = system->topology();
-  queue->BeginRun(topology.ActiveNodes(config.num_threads), system);
+                 uint64_t probe_size, TaskStats* stats) {
   const uint32_t num_partitions = s_layout.num_partitions;
   std::vector<uint64_t> sizes(num_partitions);
   for (uint32_t p = 0; p < num_partitions; ++p) {
@@ -240,15 +238,11 @@ Status SeedQueue(thread::ShardedTaskQueue* queue, SkewBuildSlots* slots,
                      probe_bytes);
     queue->SeedTask(shard, task);
   }
-  // Once per wave, not per task: cheap enough to record always.
   // skew_slices counts tasks beyond one per partition, so tasks_seeded ==
-  // num_partitions + skew_slices (asserted in tests/obs_test.cc).
-  obs::MetricsRegistry::Get().AddCounter("join.tasks_seeded",
-                                         tasks.consume_order.size());
-  obs::MetricsRegistry::Get().AddCounter("join.skew_slices",
-                                         tasks.skew_slices);
-  obs::MetricsRegistry::Get().AddCounter("join.skew_partitions",
-                                         tasks.skew_partitions);
+  // num_partitions + skew_slices per wave (asserted in tests/obs_test.cc).
+  stats->tasks_seeded += tasks.consume_order.size();
+  stats->skew_slices += tasks.skew_slices;
+  stats->skew_partitions += tasks.skew_partitions;
   return OkStatus();
 }
 
@@ -267,6 +261,8 @@ class RadixJoinRun {
         num_threads_(config.num_threads),
         waves_(plan.wave_count > 1),
         stats_(config.num_threads),
+        queue_(system->topology(),
+               system->topology().ActiveNodes(config.num_threads)),
         wave_size_(probe.size()) {
     options_.fn = partition::RadixFn{0, plan.pass1_bits};
     options_.use_swwcb = plan.use_swwcb;
@@ -280,8 +276,6 @@ class RadixJoinRun {
   StatusOr<JoinResult> Execute() {
     MMJOIN_RETURN_IF_ERROR(AllocateBuffers());
     thread::Executor& executor = ExecutorOf(config_);
-    std::unique_ptr<thread::ShardedTaskQueue> fallback_queue;
-    queue_ = SelectJoinQueue(executor, *system_, &fallback_queue);
     // Partition buffers were allocated + prefaulted untimed (buffer-manager
     // assumption, Section 5.1).
     clock_.emplace(num_threads_);
@@ -292,6 +286,12 @@ class RadixJoinRun {
 
     JoinResult result = ReduceStats(stats_.data(), num_threads_);
     clock_->Finish(&result);
+    thread::ShardedTaskQueue::RunStats steals = queue_.run_stats();
+    result.tasks = tasks_;
+    result.tasks.tasks_stolen = steals.tasks_stolen;
+    result.tasks.steal_remote_reads = steals.steal_remote_read_bytes;
+    result.tasks.num_nodes = queue_.num_shards();
+    result.tasks.steal_matrix = std::move(steals.steal_matrix);
     return result;
   }
 
@@ -374,8 +374,9 @@ class RadixJoinRun {
 
       if (tid == 0) {
         if (waves_) s_layout_ = &s_pass1_.Finish();
-        const Status seeded = SeedQueue(queue_, &slots_, system_, config_,
-                                        plan_, *s_layout_, wave_size_);
+        const Status seeded =
+            SeedQueue(&queue_, &slots_, system_->topology(), config_, plan_,
+                      *s_layout_, wave_size_, &tasks_);
         if (!seeded.ok()) abort_.Set(seeded);
       }
       barrier.ArriveAndWait();
@@ -393,17 +394,12 @@ class RadixJoinRun {
         if (scratch != nullptr) JoinTasks(tid, node, scratch.get());
       }
       // Wave-end barrier: every worker is done with this wave's buffers and
-      // queue before thread 0 reconfigures them, and any abort (injected
-      // build/probe failure included) is published so the team leaves the
-      // loop together.
+      // drained the queue before thread 0 reconfigures and re-seeds them,
+      // and any abort (injected build/probe failure included) is published
+      // so the team leaves the loop together.
       barrier.ArriveAndWait();
       if (abort_.IsSet()) break;
     }
-    // The barrier above synchronized the team and no worker touches the
-    // queue after it, so flush its per-run steal counters (the last seeded
-    // wave's) before the dispatch returns -- outside the dispatch the flush
-    // would race the next join on this executor re-seeding the queue.
-    if (tid == 0) FlushStealMetrics(*queue_);
   }
 
   // Pass 2: whole pass-1 partitions are claimed from a work counter
@@ -452,7 +448,7 @@ class RadixJoinRun {
     obs::JoinPhaseProfiler& profiler = clock_->profiler();
     thread::JoinTask task;
     int stolen_from = -1;
-    while (queue_->Pop(node, &task, &stolen_from)) {
+    while (queue_.Pop(node, &task, &stolen_from)) {
       if (abort_.IsSet()) return;
       const uint32_t p = task.partition;
       const uint64_t r_size = r_layout.PartitionSize(p);
@@ -515,7 +511,7 @@ class RadixJoinRun {
         // worker built it) live near the victim, not here.
         uint64_t remote_bytes = probe_bytes;
         if (built_here) remote_bytes += r_size * sizeof(Tuple);
-        queue_->AddStealReadBytes(remote_bytes);
+        queue_.AddStealReadBytes(remote_bytes);
       }
     }
   }
@@ -535,7 +531,7 @@ class RadixJoinRun {
   std::atomic<uint32_t> next_sub_{0};
 
   std::vector<ThreadStats> stats_;  // per-thread: slot tid
-  thread::ShardedTaskQueue* queue_ = nullptr;
+  thread::ShardedTaskQueue queue_;  // this run's tasks, every wave
   SkewBuildSlots slots_;
   JoinAbort abort_;
   std::optional<RunClock> clock_;  // emplaced by Execute
@@ -545,6 +541,7 @@ class RadixJoinRun {
   const ChunkedLayout* s_layout_ = nullptr;
   uint64_t max_r_partition_ = 0;
   uint64_t wave_size_;  // probe tuples in the current wave; thread 0 only
+  TaskStats tasks_;     // seeding counts over all waves; thread 0 only
 };
 
 }  // namespace

@@ -209,11 +209,33 @@ StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
     return JoinResult{};
   }();
   if (result.ok()) {
+    // Joins without a task queue report a zero steal matrix of the run's
+    // node count, so every report has the same shape.
+    TaskStats& tasks = result->tasks;
+    if (tasks.steal_matrix.empty()) {
+      tasks.num_nodes = system->topology().num_nodes();
+      tasks.steal_matrix.assign(
+          static_cast<std::size_t>(tasks.num_nodes) * tasks.num_nodes, 0);
+    }
     // One count and one end-to-end latency sample per successful run.
-    obs::MetricsRegistry::Get().AddCounter("join.runs", 1);
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+    registry.AddCounter("join.runs", 1);
     static obs::Histogram* const latency =
-        obs::MetricsRegistry::Get().GetHistogram("join.latency_ns");
+        registry.GetHistogram("join.latency_ns");
     latency->Record(static_cast<uint64_t>(result->times.total_ns));
+    if (InfoOf(algorithm).join_class == JoinClass::kPartitionBased) {
+      registry.AddCounter("join.tasks_seeded", tasks.tasks_seeded);
+      registry.AddCounter("join.skew_slices", tasks.skew_slices);
+      registry.AddCounter("join.skew_partitions", tasks.skew_partitions);
+      registry.AddCounter("join.tasks_stolen", tasks.tasks_stolen);
+      registry.AddCounter("join.steal_remote_reads",
+                          tasks.steal_remote_reads);
+      // Steals per run, zeros included: the shape separates "rare runs
+      // steal everything" from "every run steals a little".
+      static obs::Histogram* const steals =
+          registry.GetHistogram("join.steals_per_dispatch");
+      steals->Record(tasks.tasks_stolen);
+    }
   }
   return result;
 }

@@ -34,11 +34,7 @@ class NumaSystem {
   // `page_policy`: page size used for all allocations (paper Section 7.2).
   explicit NumaSystem(int num_nodes = 4,
                       mem::PagePolicy page_policy = mem::PagePolicy::kHuge)
-      : topology_(num_nodes),
-        page_policy_(page_policy),
-        task_steals_(static_cast<std::size_t>(num_nodes) * num_nodes) {
-    for (auto& cell : task_steals_) cell.store(0, std::memory_order_relaxed);
-  }
+      : topology_(num_nodes), page_policy_(page_policy) {}
 
   ~NumaSystem();
 
@@ -114,35 +110,6 @@ class NumaSystem {
     return regions_.size();
   }
 
-  // --- Task-steal accounting --------------------------------------------
-  // Unlike memory accounting this is always on: a steal is a scheduling
-  // event, not a per-tuple access, so the cost is one relaxed increment per
-  // stolen task. The matrix is indexed [thief][victim]. Intentionally
-  // cumulative for the system's lifetime -- concurrent joins (service
-  // lanes) all add to it; per-run attribution is a caller-side delta
-  // (core::SnapshotStealMatrix before/after), never a reset here.
-  void CountTaskSteal(int thief_node, int victim_node) {
-    MMJOIN_DCHECK(thief_node >= 0 && thief_node < topology_.num_nodes());
-    MMJOIN_DCHECK(victim_node >= 0 && victim_node < topology_.num_nodes());
-    task_steals_[static_cast<std::size_t>(thief_node) *
-                     topology_.num_nodes() +
-                 victim_node]
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t TaskSteals(int thief_node, int victim_node) const {
-    return task_steals_[static_cast<std::size_t>(thief_node) *
-                            topology_.num_nodes() +
-                        victim_node]
-        .load(std::memory_order_relaxed);
-  }
-  uint64_t TotalTaskSteals() const {
-    uint64_t total = 0;
-    for (const auto& cell : task_steals_) {
-      total += cell.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
  private:
   struct Region {
     std::uintptr_t base;
@@ -165,9 +132,6 @@ class NumaSystem {
 
   std::atomic<bool> accounting_enabled_{false};
   std::unique_ptr<AccessCounters> counters_;
-
-  // [thief * num_nodes + victim] stolen-task counts; see CountTaskSteal.
-  std::vector<std::atomic<uint64_t>> task_steals_;
 };
 
 // RAII typed buffer allocated from a NumaSystem.

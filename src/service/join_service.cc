@@ -248,13 +248,11 @@ void JoinService::RunJob(int lane_index, Job* job) {
   config.executor = lanes_[static_cast<size_t>(lane_index)].executor;
   config.budget = job->tracker;  // nullptr for unbounded tenants
 
-  // Per-job EXPLAIN window: counter and steal-matrix snapshots bracket this
-  // job only, not the process lifetime (see core/explain.h for what
-  // overlapping lanes do to the deltas).
+  // Per-job EXPLAIN window: counter snapshots bracket this job only, not
+  // the process lifetime (see core/explain.h for what overlapping lanes do
+  // to the deltas). The steal matrix is the job's own, from its result.
   const std::map<std::string, uint64_t> counters_before =
       obs::MetricsRegistry::Get().SnapshotMap();
-  const std::vector<uint64_t> steals_before =
-      core::SnapshotStealMatrix(joiner_->system());
 
   const int64_t run_start_ns = NowNanos();
   StatusOr<join::JoinResult> result = [&] {
@@ -286,8 +284,8 @@ void JoinService::RunJob(int lane_index, Job* job) {
   job->result.explain = core::BuildExplainReport(
       join::NameOf(job->spec.algorithm), job->result.join,
       job->spec.build->size(), job->spec.probe->size(),
-      options_.joiner.num_threads, joiner_->system(), counters_before,
-      obs::MetricsRegistry::Get().SnapshotMap(), &steals_before);
+      options_.joiner.num_threads, counters_before,
+      obs::MetricsRegistry::Get().SnapshotMap());
   job->status = OkStatus();
   obs::MetricsRegistry::Get().AddCounter("service.jobs_completed", 1);
   MMJOIN_LOG(kDebug, "service.complete")

@@ -99,8 +99,9 @@ struct JobResult {
   JobId id = 0;
   std::string tenant;
   join::JoinResult join;
-  // Per-job EXPLAIN: counters and the steal matrix are deltas over this
-  // job's run window (see core/explain.h for the overlap semantics).
+  // Per-job EXPLAIN: the steal matrix is this job's own; counters are
+  // deltas over its run window (see core/explain.h for the overlap
+  // semantics).
   core::ExplainReport explain;
   int64_t queue_wait_ns = 0;  // submit -> lane pickup
   int64_t run_ns = 0;         // lane pickup -> completion

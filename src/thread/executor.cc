@@ -48,8 +48,7 @@ const obs::MetricsProviderRegistration kExecutorProvider(
 
 Executor::Executor(int num_threads, int num_nodes)
     : default_team_(num_threads),
-      topology_(num_nodes),
-      join_queue_(std::make_unique<ShardedTaskQueue>(num_nodes)) {
+      topology_(num_nodes) {
   MMJOIN_CHECK(num_threads >= 1);
   if (const char* env = std::getenv("MMJOIN_DISPATCH_TIMEOUT_MS")) {
     char* end = nullptr;

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "numa/topology.h"
-#include "thread/task_queue.h"
 #include "thread/thread_team.h"
 #include "util/annotations.h"
 #include "util/macros.h"
@@ -134,14 +133,6 @@ class Executor {
 
   const numa::Topology& topology() const { return topology_; }
 
-  // The sharded join-task queue dispatched joins run on. Created once, sized
-  // to this executor's topology (never resized -- workers of a running
-  // dispatch hold references into it). A join whose NumaSystem models a
-  // different node count than this executor falls back to a run-local queue.
-  // Dispatches are serialized (dispatch_mutex_), so at most one join run
-  // uses the queue at a time.
-  ShardedTaskQueue& join_queue() { return *join_queue_; }
-
  private:
   void WorkerLoop(int thread_id, uint64_t spawn_epoch);
   // Grows the pool to `count` workers.
@@ -149,7 +140,6 @@ class Executor {
 
   const int default_team_;
   const numa::Topology topology_;
-  const std::unique_ptr<ShardedTaskQueue> join_queue_;
 
   // One dispatch at a time; callers queue here, not on the epoch state.
   Mutex dispatch_mutex_;

@@ -2,39 +2,26 @@
 
 #include <algorithm>
 #include <string>
-
-#include "numa/system.h"
+#include <utility>
 
 namespace mmjoin::thread {
 
-ShardedTaskQueue::ShardedTaskQueue(int num_shards)
-    : num_shards_(num_shards),
-      shards_(std::make_unique<Shard[]>(num_shards)),
-      steal_order_(num_shards) {
-  MMJOIN_CHECK(num_shards >= 1);
-  const numa::Topology topology(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
+ShardedTaskQueue::ShardedTaskQueue(const numa::Topology& topology,
+                                   std::vector<int> active_shards)
+    : num_shards_(topology.num_nodes()),
+      shards_(std::make_unique<Shard[]>(num_shards_)),
+      steal_order_(num_shards_),
+      active_shards_(std::move(active_shards)),
+      steals_(static_cast<std::size_t>(num_shards_) * num_shards_) {
+  MMJOIN_CHECK(num_shards_ >= 1);
+  MMJOIN_CHECK(!active_shards_.empty());
+  for (int s = 0; s < num_shards_; ++s) {
     steal_order_[s] = topology.NodesByDistance(s);
   }
 }
 
-void ShardedTaskQueue::BeginRun(std::vector<int> active_shards,
-                                numa::NumaSystem* system) {
-  MMJOIN_CHECK(!active_shards.empty());
-  for (int s = 0; s < num_shards_; ++s) {
-    MutexLock lock(shards_[s].mutex);
-    shards_[s].tasks.clear();
-  }
-  active_shards_ = std::move(active_shards);
-  system_ = system;
-  local_pops_.store(0, std::memory_order_relaxed);
-  tasks_stolen_.store(0, std::memory_order_relaxed);
-  steal_remote_read_bytes_.store(0, std::memory_order_relaxed);
-}
-
 int ShardedTaskQueue::MapShard(int preferred_shard) const {
   MMJOIN_DCHECK(preferred_shard >= 0 && preferred_shard < num_shards_);
-  if (active_shards_.empty()) return preferred_shard;
   if (std::binary_search(active_shards_.begin(), active_shards_.end(),
                          preferred_shard)) {
     return preferred_shard;
@@ -52,13 +39,6 @@ void ShardedTaskQueue::SeedTask(int preferred_shard, JoinTask task) {
   // LIFO end) return them in exactly that order, and leaves the *latest*
   // consume-order task at the front where thieves take it first.
   shard.tasks.push_front(task);
-}
-
-void ShardedTaskQueue::Push(int shard_index, JoinTask task) {
-  MMJOIN_DCHECK(shard_index >= 0 && shard_index < num_shards_);
-  Shard& shard = shards_[shard_index];
-  MutexLock lock(shard.mutex);
-  shard.tasks.push_back(task);
 }
 
 bool ShardedTaskQueue::Pop(int shard_index, JoinTask* task,
@@ -81,12 +61,25 @@ bool ShardedTaskQueue::Pop(int shard_index, JoinTask* task,
     if (remote.tasks.empty()) continue;
     *task = remote.tasks.front();
     remote.tasks.pop_front();
-    tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-    if (system_ != nullptr) system_->CountTaskSteal(shard_index, victim);
+    steals_[static_cast<std::size_t>(shard_index) * num_shards_ + victim]
+        .fetch_add(1, std::memory_order_relaxed);
     if (stolen_from != nullptr) *stolen_from = victim;
     return true;
   }
   return false;
+}
+
+ShardedTaskQueue::RunStats ShardedTaskQueue::run_stats() const {
+  RunStats stats;
+  stats.local_pops = local_pops_.load(std::memory_order_relaxed);
+  stats.steal_remote_read_bytes =
+      steal_remote_read_bytes_.load(std::memory_order_relaxed);
+  stats.steal_matrix.reserve(steals_.size());
+  for (const auto& cell : steals_) {
+    stats.steal_matrix.push_back(cell.load(std::memory_order_relaxed));
+    stats.tasks_stolen += stats.steal_matrix.back();
+  }
+  return stats;
 }
 
 std::size_t ShardedTaskQueue::SizeForTest() const {

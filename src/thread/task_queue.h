@@ -1,13 +1,13 @@
 // Join-task queues and NUMA-aware scheduling orders.
 //
 // After partitioning, every PR*/CPR* algorithm joins co-partitions that are
-// pulled from a shared task queue (paper Section 6.2). The original code
-// inserts partition indices in ascending order into a LIFO queue; because
-// partition indices correlate with virtual addresses, the first ~p/nodes
-// tasks all read from the same NUMA region and saturate one memory
-// controller. The improved-scheduling (iS) variants instead enqueue
-// round-robin across NUMA nodes so all memory controllers are busy at once.
-// Skew handling pushes extra sub-tasks onto the queue at runtime.
+// pulled from a task queue (paper Section 6.2). The original code inserts
+// partition indices in ascending order into a LIFO queue; because partition
+// indices correlate with virtual addresses, the first ~p/nodes tasks all
+// read from the same NUMA region and saturate one memory controller. The
+// improved-scheduling (iS) variants instead enqueue round-robin across NUMA
+// nodes so all memory controllers are busy at once. Skew handling seeds
+// extra probe-slice tasks for oversized partitions.
 //
 // The queue here, ShardedTaskQueue, keeps one deque per NUMA node with
 // distance-ordered FIFO stealing; with a single active shard it pops in the
@@ -22,15 +22,12 @@
 #include <memory>
 #include <vector>
 
+#include "numa/topology.h"
 #include "util/annotations.h"
 #include "util/macros.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/types.h"
-
-namespace mmjoin::numa {
-class NumaSystem;
-}  // namespace mmjoin::numa
 
 namespace mmjoin::thread {
 
@@ -42,9 +39,11 @@ struct JoinTask {
   uint32_t probe_slice_count = 1;
 };
 
-// Per-NUMA-node sharded work-stealing queue for the join phase.
+// Per-NUMA-node sharded work-stealing queue for the join phase of one run.
 //
 // Semantics (docs/EXECUTION.md "Sharded join scheduler"):
+//  - A queue lives for exactly one join run (every spill wave of it), so it
+//    never holds another run's tasks and its telemetry is the run's own.
 //  - Seeding (single-threaded, between barriers): tasks arrive in global
 //    consume order tagged with a preferred shard (the node their probe data
 //    lives on). Within a shard, pops yield the seeded order -- so with one
@@ -53,43 +52,34 @@ struct JoinTask {
 //  - Runtime: a worker pops LIFO from its home shard (the paper's stack
 //    semantics, newest == cache-warm). When the home shard is dry it steals
 //    FIFO -- the task its victim would have run *last* -- walking remote
-//    shards in Topology::NodesByDistance order. Steals are counted in the
-//    run stats and, when a NumaSystem was attached, in its thief x victim
-//    steal matrix.
-//  - BeginRun rearms the queue for a join run: clears every shard (a prior
-//    aborted run may have left tasks behind) and zeroes the run stats. It
-//    must be the *first* seeding step so a failed seed leaves an empty
-//    queue, never a stale one.
+//    shards in Topology::NodesByDistance order. Every steal is counted in
+//    the queue's thief x victim steal matrix.
 //
-// Seeding/BeginRun are phase-serial (one thread, before the barrier that
-// releases the workers); Push/Pop are fully concurrent.
+// Seeding is phase-serial (one thread, before the barrier that releases the
+// workers); Pop is fully concurrent.
 class ShardedTaskQueue {
  public:
-  explicit ShardedTaskQueue(int num_shards);
+  // One shard per node of `topology`. `active_shards` (ascending, from
+  // Topology::ActiveNodes) are the shards some worker polls locally; seeds
+  // preferring an inactive shard are remapped onto an active one so no task
+  // waits for a steal that may never come.
+  ShardedTaskQueue(const numa::Topology& topology,
+                   std::vector<int> active_shards);
 
   ShardedTaskQueue(const ShardedTaskQueue&) = delete;
   ShardedTaskQueue& operator=(const ShardedTaskQueue&) = delete;
 
-  // Per-run scheduling telemetry; reset by BeginRun.
+  // Scheduling telemetry over the queue's lifetime.
   struct RunStats {
     uint64_t local_pops = 0;
-    uint64_t tasks_stolen = 0;
+    uint64_t tasks_stolen = 0;  // == the sum of steal_matrix
     uint64_t steal_remote_read_bytes = 0;
+    // Row-major [thief_shard * num_shards + victim_shard] steal counts.
+    std::vector<uint64_t> steal_matrix;
   };
-
-  // Rearms the queue for one join run. `active_shards` (ascending, from
-  // Topology::ActiveNodes) are the shards some worker polls locally; seeds
-  // preferring an inactive shard are remapped onto an active one so no task
-  // waits for a steal that may never come. `system` (optional) receives
-  // CountTaskSteal events; it must outlive the run.
-  void BeginRun(std::vector<int> active_shards, numa::NumaSystem* system);
 
   // Seeds one task in global consume order onto `preferred_shard`.
   void SeedTask(int preferred_shard, JoinTask task);
-
-  // Runtime push (skew sub-tasks split mid-run): LIFO -- the pushing shard
-  // pops it next.
-  void Push(int shard, JoinTask task);
 
   // Pops the newest local task, or -- when `shard` is dry -- steals the
   // oldest task of the nearest non-empty shard. Returns false only when
@@ -103,14 +93,7 @@ class ShardedTaskQueue {
     steal_remote_read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
-  RunStats run_stats() const {
-    RunStats stats;
-    stats.local_pops = local_pops_.load(std::memory_order_relaxed);
-    stats.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
-    stats.steal_remote_read_bytes =
-        steal_remote_read_bytes_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  RunStats run_stats() const;
 
   int num_shards() const { return num_shards_; }
   std::size_t SizeForTest() const;
@@ -132,15 +115,12 @@ class ShardedTaskQueue {
   std::unique_ptr<Shard[]> shards_;
   // steal_order_[s]: the other shards in Topology::NodesByDistance(s) order.
   std::vector<std::vector<int>> steal_order_;
-
-  // Written by BeginRun/SeedTask on the seeding thread before the barrier
-  // that releases the workers (which orders them); read-only during the run.
-  std::vector<int> active_shards_;
-  numa::NumaSystem* system_ = nullptr;
+  const std::vector<int> active_shards_;
 
   std::atomic<uint64_t> local_pops_{0};
-  std::atomic<uint64_t> tasks_stolen_{0};
   std::atomic<uint64_t> steal_remote_read_bytes_{0};
+  // [thief * num_shards + victim] stolen-task counts.
+  std::vector<std::atomic<uint64_t>> steals_;
 };
 
 // Skew-task construction shared by the PR* and CPR* seeders.

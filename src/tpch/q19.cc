@@ -129,54 +129,6 @@ class RevenueAggregate final : public exec::Sink {
   std::vector<Slot> slots_;
 };
 
-// Parallel filter + materialization of the probe column: <l_partkey, rowid>
-// for every lineitem row passing PreJoin. Two passes (count, then fill at
-// precomputed offsets) so the output is dense and deterministic. Used by
-// the Appendix G morphing study (RunQ19Morph); TryRunQ19 itself goes through
-// the exec:: pipeline.
-StatusOr<numa::NumaBuffer<Tuple>> FilterProbe(numa::NumaSystem* system,
-                                              const LineitemTable& lineitem,
-                                              thread::Executor& executor,
-                                              int num_threads,
-                                              uint64_t* out_count) {
-  const uint64_t rows = lineitem.num_tuples();
-  std::vector<uint64_t> counts(num_threads, 0);
-  MMJOIN_RETURN_IF_ERROR(
-      executor.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
-        const thread::Range range =
-            thread::ChunkRange(rows, ctx.num_threads, ctx.thread_id);
-        uint64_t count = 0;
-        for (uint64_t i = range.begin; i < range.end; ++i) {
-          count += PreJoin(lineitem, i) ? 1 : 0;
-        }
-        counts[ctx.thread_id] = count;
-      }));
-
-  uint64_t total = 0;
-  std::vector<uint64_t> offsets(num_threads);
-  for (int t = 0; t < num_threads; ++t) {
-    offsets[t] = total;
-    total += counts[t];
-  }
-  *out_count = total;
-
-  MMJOIN_ASSIGN_OR_RETURN(
-      numa::NumaBuffer<Tuple> probe,
-      numa::NumaBuffer<Tuple>::TryCreate(system, std::max<uint64_t>(total, 1),
-                                         numa::Placement::kChunkedRoundRobin));
-  MMJOIN_RETURN_IF_ERROR(
-      executor.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
-        const thread::Range range =
-            thread::ChunkRange(rows, ctx.num_threads, ctx.thread_id);
-        uint64_t cursor = offsets[ctx.thread_id];
-        const Tuple* partkey = lineitem.l_partkey();
-        for (uint64_t i = range.begin; i < range.end; ++i) {
-          if (PreJoin(lineitem, i)) probe[cursor++] = partkey[i];
-        }
-      }));
-  return probe;
-}
-
 }  // namespace
 
 StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
@@ -244,7 +196,7 @@ StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
                                      const LineitemTable& lineitem,
                                      const PartTable& part, int num_threads,
                                      thread::Executor* executor) {
-  thread::Executor& exec =
+  thread::Executor& pool =
       executor != nullptr ? *executor : thread::GlobalExecutor();
   Q19MorphResult result;
   using Table = hash::LinearProbingTable<hash::IdentityHash>;
@@ -252,15 +204,27 @@ StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
   const uint64_t p_rows = part.num_tuples();
   const Tuple* l_partkey = lineitem.l_partkey();
 
-  uint64_t filtered = 0;
-  MMJOIN_ASSIGN_OR_RETURN(
-      numa::NumaBuffer<Tuple> prefiltered,
-      FilterProbe(system, lineitem, exec, num_threads, &filtered));
+  // The pre-filtered probe side: <l_partkey, lineitem row id> for every row
+  // passing PreJoin, materialized by the pipeline TryRunQ19 runs in front of
+  // its join.
+  exec::TupleScan scan(ConstTupleSpan(l_partkey, l_rows));
+  Q19PreFilter pre_filter(lineitem);
+  exec::TupleMaterialize materialize(system,
+                                     numa::Placement::kChunkedRoundRobin);
+  exec::PipelineConfig config;
+  config.num_threads = num_threads;
+  config.executor = &pool;
+  MMJOIN_RETURN_IF_ERROR(
+      exec::Pipeline(&scan, {&pre_filter}, &materialize)
+          .Run(system, config)
+          .status());
+  const ConstTupleSpan prefiltered = materialize.span();
+  const uint64_t filtered = prefiltered.size();
 
   auto build_table = [&]() -> StatusOr<std::unique_ptr<Table>> {
     auto table = std::make_unique<Table>(system, p_rows,
                                          numa::Placement::kInterleavedPages);
-    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+    MMJOIN_RETURN_IF_ERROR(pool.ParallelFor(
         num_threads, p_rows,
         [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
           const Tuple* keys = part.p_partkey();
@@ -276,7 +240,7 @@ StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
     Stopwatch watch;
     MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::atomic<uint64_t> matches{0};
-    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+    MMJOIN_RETURN_IF_ERROR(pool.ParallelFor(
         num_threads, filtered,
         [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
           uint64_t local = 0;
@@ -293,7 +257,7 @@ StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
     Stopwatch watch;
     MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::atomic<uint64_t> matches{0};
-    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+    MMJOIN_RETURN_IF_ERROR(pool.ParallelFor(
         num_threads, l_rows,
         [&](std::size_t begin, std::size_t end, const thread::WorkerContext&) {
           uint64_t local = 0;
@@ -312,7 +276,7 @@ StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
     Stopwatch watch;
     MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::vector<std::vector<Tuple>> index(num_threads);  // <rowP, rowL>
-    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+    MMJOIN_RETURN_IF_ERROR(pool.ParallelFor(
         num_threads, l_rows,
         [&](std::size_t begin, std::size_t end,
             const thread::WorkerContext& ctx) {
@@ -329,7 +293,7 @@ StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
 
     std::vector<double> revenue(num_threads, 0.0);
     MMJOIN_RETURN_IF_ERROR(
-        exec.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
+        pool.Dispatch(num_threads, [&](const thread::WorkerContext& ctx) {
           const int tid = ctx.thread_id;
           double local = 0.0;
           for (const Tuple& match : index[tid]) {
@@ -350,7 +314,7 @@ StatusOr<Q19MorphResult> RunQ19Morph(numa::NumaSystem* system,
     Stopwatch watch;
     MMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Table> table, build_table());
     std::vector<double> revenue(num_threads, 0.0);
-    MMJOIN_RETURN_IF_ERROR(exec.ParallelFor(
+    MMJOIN_RETURN_IF_ERROR(pool.ParallelFor(
         num_threads, l_rows,
         [&](std::size_t begin, std::size_t end,
             const thread::WorkerContext& ctx) {

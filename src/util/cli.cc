@@ -1,27 +1,18 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+
+#include "util/macros.h"
 
 namespace mmjoin {
-namespace {
 
-// A value that does not parse is a usage error, not a crash.
-[[noreturn]] void Malformed(const std::string& program,
-                            const std::string& name,
-                            const std::string& text) {
-  std::fprintf(stderr,
-               "%s: malformed value for --%s: '%s'\n"
-               "usage: %s [--name=value | --name value | --name] ...\n",
-               program.c_str(), name.c_str(), text.c_str(), program.c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
-CommandLine::CommandLine(int argc, char** argv) {
+CommandLine::CommandLine(int argc, char** argv, std::vector<std::string> flags)
+    : known_(std::move(flags)) {
   program_name_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -43,9 +34,42 @@ CommandLine::CommandLine(int argc, char** argv) {
       flags_.push_back(Flag{body, ""});
     }
   }
+  for (const Flag& flag : flags_) {
+    if (flag.name == "help") Usage("");
+    if (std::find(known_.begin(), known_.end(), flag.name) == known_.end()) {
+      Usage("unknown flag --" + flag.name);
+    }
+  }
+}
+
+// An empty `error` is --help: the usage line alone, to stdout, exit 0.
+// Otherwise the error and the usage line go to stderr and the process exits
+// with 2 -- a usage error, not a crash.
+void CommandLine::Usage(const std::string& error) const {
+  std::FILE* out = error.empty() ? stdout : stderr;
+  if (!error.empty()) {
+    std::fprintf(out, "%s: %s\n", program_name_.c_str(), error.c_str());
+  }
+  std::fprintf(out,
+               "usage: %s [--flag=value | --flag value | --flag] ..., "
+               "--flag one of:",
+               program_name_.c_str());
+  for (const std::string& flag : known_) {
+    std::fprintf(out, " --%s", flag.c_str());
+  }
+  std::fputc('\n', out);
+  std::exit(error.empty() ? 0 : 2);
+}
+
+void CommandLine::Malformed(const std::string& name,
+                            const std::string& text) const {
+  Usage("malformed value for --" + name + ": '" + text + "'");
 }
 
 const CommandLine::Flag* CommandLine::Find(const std::string& name) const {
+  MMJOIN_CHECK(std::find(known_.begin(), known_.end(), name) !=
+                   known_.end() &&
+               "flag read but not declared");
   for (const Flag& flag : flags_) {
     if (flag.name == name) return &flag;
   }
@@ -63,7 +87,7 @@ int64_t CommandLine::GetInt(const std::string& name, int64_t def) const {
   errno = 0;
   const int64_t value = std::strtoll(flag->value.c_str(), &end, 0);
   if (flag->value.empty() || *end != '\0' || errno == ERANGE) {
-    Malformed(program_name_, name, flag->value);
+    Malformed(name, flag->value);
   }
   return value;
 }
@@ -75,7 +99,7 @@ double CommandLine::GetDouble(const std::string& name, double def) const {
   errno = 0;
   const double value = std::strtod(flag->value.c_str(), &end);
   if (flag->value.empty() || *end != '\0' || errno == ERANGE) {
-    Malformed(program_name_, name, flag->value);
+    Malformed(name, flag->value);
   }
   return value;
 }
@@ -87,7 +111,7 @@ bool CommandLine::GetBool(const std::string& name, bool def) const {
     return true;
   }
   if (flag->value == "false" || flag->value == "0") return false;
-  Malformed(program_name_, name, flag->value);
+  Malformed(name, flag->value);
 }
 
 std::string CommandLine::GetString(const std::string& name,

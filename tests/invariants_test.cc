@@ -35,7 +35,7 @@ TEST(InvariantDeathTest, LinearTableResetBeyondAllocationAborts) {
 TEST(InvariantDeathTest, CliRejectsMalformedInteger) {
   UseThreadsafeDeathTests();
   const char* argv[] = {"prog", "--threads=abc"};
-  CommandLine cli(2, const_cast<char**>(argv));
+  CommandLine cli(2, const_cast<char**>(argv), {"threads"});
   EXPECT_EXIT(cli.GetInt("threads", 1), ::testing::ExitedWithCode(2),
               "malformed value for --threads: 'abc'");
 }

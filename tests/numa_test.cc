@@ -103,18 +103,6 @@ TEST(Topology, NodesByDistanceOrdersNeighboursFirst) {
   EXPECT_TRUE(Topology(1).NodesByDistance(0).empty());
 }
 
-TEST(NumaSystem, TaskStealMatrixCountsThiefVictimPairs) {
-  NumaSystem system(4);
-  EXPECT_EQ(system.TotalTaskSteals(), 0u);
-  system.CountTaskSteal(/*thief_node=*/0, /*victim_node=*/2);
-  system.CountTaskSteal(0, 2);
-  system.CountTaskSteal(3, 1);
-  EXPECT_EQ(system.TaskSteals(0, 2), 2u);
-  EXPECT_EQ(system.TaskSteals(3, 1), 1u);
-  EXPECT_EQ(system.TaskSteals(2, 0), 0u);  // direction matters
-  EXPECT_EQ(system.TotalTaskSteals(), 3u);
-}
-
 TEST(NumaSystem, NodeOfResolvesPlacements) {
   NumaSystem system(4);
   void* local = system.Allocate(1 << 20, Placement::kLocal, 2);

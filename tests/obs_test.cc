@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/joiner.h"
 #include "join/join_algorithm.h"
 #include "numa/system.h"
 #include "obs/metrics.h"
@@ -371,6 +372,42 @@ TEST_F(ObsTest, SkewCountersStayConsistentAcrossASkewedRun) {
   EXPECT_TRUE(saw_stolen);
   EXPECT_TRUE(saw_steal_reads);
   EXPECT_GE(CounterValue("join.tasks_stolen"), stolen_before);
+}
+
+// A radix run owns its task queue for every spill wave, so the steals its
+// result reports, its steal matrix and the registry's join.tasks_stolen
+// delta all count the same thing: every wave of every run.
+TEST_F(ObsTest, StealCountsCoverEverySpillWave) {
+  core::JoinerOptions options;
+  options.num_threads = 4;
+  options.num_nodes = 4;
+  core::Joiner joiner(options);
+  const uint64_t build_size = 1 << 18;
+  auto build = workload::MakeDenseBuild(joiner.system(), build_size,
+                                        /*seed=*/31);
+  ASSERT_TRUE(build.ok());
+  auto probe = workload::MakeZipfProbe(joiner.system(), 1 << 21, build_size,
+                                       /*theta=*/0.9, /*seed=*/32);
+  ASSERT_TRUE(probe.ok());
+
+  ASSERT_TRUE(failpoint::Configure("budget.wave=always").ok());
+  const uint64_t rounds_before = CounterValue("mem.budget_wave_rounds");
+  const uint64_t registry_before = CounterValue("join.tasks_stolen");
+  uint64_t result_stolen = 0;
+  uint64_t matrix_total = 0;
+  for (int run = 0; run < 20; ++run) {
+    auto result = joiner.Run(join::Algorithm::kPROiS, *build, *probe);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->tasks.steal_matrix.size(), 16u);
+    result_stolen += result->tasks.tasks_stolen;
+    for (const uint64_t cell : result->tasks.steal_matrix) {
+      matrix_total += cell;
+    }
+  }
+  EXPECT_GT(CounterValue("mem.budget_wave_rounds") - rounds_before, 20u);
+  EXPECT_EQ(matrix_total, result_stolen);
+  EXPECT_EQ(CounterValue("join.tasks_stolen") - registry_before,
+            result_stolen);
 }
 
 TEST_F(ObsTest, MetricsSnapshotIsSortedByName) {

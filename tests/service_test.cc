@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/joiner.h"
 #include "join/join_algorithm.h"
 #include "join/reference.h"
+#include "obs/metrics.h"
 #include "service/join_service.h"
 #include "workload/generator.h"
 
@@ -146,6 +148,56 @@ TEST(JoinServiceTest, ConcurrentJobsProgressSimultaneously) {
   gate_b.Release();
   EXPECT_TRUE(service->Wait(job_a).ok());
   EXPECT_TRUE(service->Wait(job_b).ok());
+}
+
+// Per-job steal attribution: two PROiS jobs overlap on the two lanes (the
+// GateSink witness holds both mid-probe), so their counter windows overlap,
+// but each job's EXPLAIN steal matrix is its own run's and sums to its own
+// tasks_stolen. Together they account for every steal the registry saw.
+TEST(JoinServiceTest, OverlappingJobsReportTheirOwnSteals) {
+  auto service = JoinService::Create(SmallServiceOptions(/*num_lanes=*/2))
+                     .value();
+  workload::Relation build =
+      workload::MakeDenseBuild(service->system(), 20000, 1).value();
+  workload::Relation probe =
+      workload::MakeZipfProbe(service->system(), 80000, 20000,
+                              /*theta=*/0.9, 2)
+          .value();
+  const auto stolen = [] {
+    const std::map<std::string, uint64_t> counters =
+        obs::MetricsRegistry::Get().SnapshotMap();
+    const auto it = counters.find("join.tasks_stolen");
+    return it == counters.end() ? uint64_t{0} : it->second;
+  };
+  const uint64_t stolen_before = stolen();
+
+  GateSink gate_a, gate_b;
+  JobSpec spec;
+  spec.algorithm = join::Algorithm::kPROiS;
+  spec.build = &build;
+  spec.probe = &probe;
+  spec.config.sink = &gate_a;
+  const JobId job_a = service->SubmitJob(spec).value();
+  spec.config.sink = &gate_b;
+  const JobId job_b = service->SubmitJob(spec).value();
+  gate_a.WaitUntilEntered();
+  gate_b.WaitUntilEntered();
+  EXPECT_GE(service->stats().peak_running, 2);
+  gate_a.Release();
+  gate_b.Release();
+
+  uint64_t jobs_stolen = 0;
+  for (const JobId id : {job_a, job_b}) {
+    const JobResult result = service->Wait(id).value();
+    const join::TaskStats& tasks = result.explain.result.tasks;
+    EXPECT_EQ(tasks.num_nodes, 2);
+    ASSERT_EQ(tasks.steal_matrix.size(), 4u);
+    uint64_t matrix_total = 0;
+    for (const uint64_t cell : tasks.steal_matrix) matrix_total += cell;
+    EXPECT_EQ(matrix_total, result.join.tasks.tasks_stolen) << id;
+    jobs_stolen += result.join.tasks.tasks_stolen;
+  }
+  EXPECT_EQ(stolen() - stolen_before, jobs_stolen);
 }
 
 TEST(JoinServiceTest, FullQueueRejectsWithRetryAfter) {

@@ -541,16 +541,17 @@ TEST_F(TelemetryTest, ExplainReportMatchesPhaseProfileExactly) {
   ASSERT_TRUE(result.ok());
 
   const core::ExplainReport report = core::BuildExplainReport(
-      "PRO", *result, 1 << 14, 1 << 16, config.num_threads, &system, before,
+      "PRO", *result, 1 << 14, 1 << 16, config.num_threads, before,
       obs::MetricsRegistry::Get().SnapshotMap());
 
   // Steal matrix is nodes x nodes and sums to the reported total.
-  EXPECT_EQ(report.num_nodes, system.topology().num_nodes());
-  ASSERT_EQ(report.steal_matrix.size(),
-            static_cast<size_t>(report.num_nodes) * report.num_nodes);
+  const join::TaskStats& tasks = report.result.tasks;
+  EXPECT_EQ(tasks.num_nodes, system.topology().num_nodes());
+  ASSERT_EQ(tasks.steal_matrix.size(),
+            static_cast<size_t>(tasks.num_nodes) * tasks.num_nodes);
   uint64_t matrix_total = 0;
-  for (const uint64_t cell : report.steal_matrix) matrix_total += cell;
-  EXPECT_EQ(matrix_total, report.total_steals);
+  for (const uint64_t cell : tasks.steal_matrix) matrix_total += cell;
+  EXPECT_EQ(matrix_total, tasks.tasks_stolen);
 
   const std::string json = core::ExplainReportJson(report);
   EXPECT_TRUE(JsonValidator(json).Valid()) << json;
@@ -595,7 +596,7 @@ TEST_F(TelemetryTest, ExplainCounterDeltasDropNonIncreasingEntries) {
   const std::map<std::string, uint64_t> after = {{"a", 8}, {"b", 3},
                                                  {"new", 2}};
   const core::ExplainReport report = core::BuildExplainReport(
-      "X", result, 0, 0, 1, nullptr, before, after);
+      "X", result, 0, 0, 1, before, after);
   ASSERT_EQ(report.counters.size(), 2u);
   EXPECT_EQ(report.counters.at("a"), 3u);
   EXPECT_EQ(report.counters.at("new"), 2u);

@@ -282,9 +282,8 @@ std::vector<int> AllShards(int n) {
   return shards;
 }
 
-TEST(ShardedTaskQueue, LocalPopsFollowSeedOrderThenRuntimeLifo) {
-  ShardedTaskQueue queue(4);
-  queue.BeginRun(AllShards(4), nullptr);
+TEST(ShardedTaskQueue, LocalPopsFollowSeedOrder) {
+  ShardedTaskQueue queue(numa::Topology(4), AllShards(4));
   // Seeds arrive in consume order; local pops must replay it exactly.
   queue.SeedTask(0, JoinTask{1});
   queue.SeedTask(0, JoinTask{2});
@@ -294,10 +293,6 @@ TEST(ShardedTaskQueue, LocalPopsFollowSeedOrderThenRuntimeLifo) {
   ASSERT_TRUE(queue.Pop(0, &task, &stolen_from));
   EXPECT_EQ(task.partition, 1u);
   EXPECT_EQ(stolen_from, -1);  // local
-  // Runtime pushes (skew splits) are LIFO relative to remaining seeds.
-  queue.Push(0, JoinTask{9});
-  ASSERT_TRUE(queue.Pop(0, &task));
-  EXPECT_EQ(task.partition, 9u);
   ASSERT_TRUE(queue.Pop(0, &task));
   EXPECT_EQ(task.partition, 2u);
   ASSERT_TRUE(queue.Pop(0, &task));
@@ -310,8 +305,7 @@ TEST(ShardedTaskQueue, SingleActiveShardMatchesGlobalQueueOrder) {
   // and shard 0 pops exactly the seeded consume order -- the paper's single
   // global LIFO stack seeded in reverse.
   const std::vector<uint32_t> order = RoundRobinNodeOrder(16, 4);
-  ShardedTaskQueue sharded(4);
-  sharded.BeginRun({0}, nullptr);
+  ShardedTaskQueue sharded(numa::Topology(4), {0});
   for (const uint32_t p : order) {
     // Preferred shards vary (as the real seeder's NodeOfOffset does) but
     // only shard 0 is active.
@@ -328,8 +322,7 @@ TEST(ShardedTaskQueue, SingleActiveShardMatchesGlobalQueueOrder) {
 TEST(ShardedTaskQueue, StealsWalkNodesByDistanceAndTakeFifoEnd) {
   // 4-node ring: from node 0 the steal order is [1, 3, 2] (both neighbours
   // before the opposite node, ties toward the lower index).
-  ShardedTaskQueue queue(4);
-  queue.BeginRun(AllShards(4), nullptr);
+  ShardedTaskQueue queue(numa::Topology(4), AllShards(4));
   queue.SeedTask(1, JoinTask{10});
   queue.SeedTask(1, JoinTask{11});
   queue.SeedTask(2, JoinTask{20});
@@ -359,25 +352,50 @@ TEST(ShardedTaskQueue, StealsWalkNodesByDistanceAndTakeFifoEnd) {
   EXPECT_EQ(stats.tasks_stolen, 4u);
 }
 
-TEST(ShardedTaskQueue, StealsAreCountedInNumaSystemMatrix) {
-  numa::NumaSystem system(4);
-  ShardedTaskQueue queue(4);
-  queue.BeginRun(AllShards(4), &system);
+// Row-major [thief * 4 + victim] cell of a 4-shard queue's steal matrix.
+uint64_t Steals(const ShardedTaskQueue::RunStats& stats, int thief,
+                int victim) {
+  return stats.steal_matrix[static_cast<std::size_t>(thief) * 4 + victim];
+}
+
+TEST(ShardedTaskQueue, StealsAreCountedInRunMatrix) {
+  ShardedTaskQueue queue(numa::Topology(4), AllShards(4));
   queue.SeedTask(2, JoinTask{1});
   queue.SeedTask(2, JoinTask{2});
   JoinTask task;
   ASSERT_TRUE(queue.Pop(0, &task));  // steals 2 -> 0
   ASSERT_TRUE(queue.Pop(1, &task));  // steals 2 -> 1
-  EXPECT_EQ(system.TaskSteals(0, 2), 1u);
-  EXPECT_EQ(system.TaskSteals(1, 2), 1u);
-  EXPECT_EQ(system.TaskSteals(2, 0), 0u);
-  EXPECT_EQ(system.TotalTaskSteals(), 2u);
+  const ShardedTaskQueue::RunStats stats = queue.run_stats();
+  ASSERT_EQ(stats.steal_matrix.size(), 16u);
+  EXPECT_EQ(Steals(stats, 0, 2), 1u);
+  EXPECT_EQ(Steals(stats, 1, 2), 1u);
+  EXPECT_EQ(Steals(stats, 2, 0), 0u);
+  EXPECT_EQ(stats.tasks_stolen, 2u);
+}
+
+TEST(ShardedTaskQueue, StealMatrixCountsThiefVictimPairs) {
+  // Only nodes 0 and 3 host workers, so the seeds on 1 and 2 are remapped
+  // (1 -> 3, 2 -> 0); the worker on node 3 runs its own task, then steals
+  // node 0's two.
+  ShardedTaskQueue queue(numa::Topology(4), {0, 3});
+  queue.SeedTask(2, JoinTask{1});
+  queue.SeedTask(2, JoinTask{2});
+  queue.SeedTask(1, JoinTask{3});
+  JoinTask task;
+  ASSERT_TRUE(queue.Pop(3, &task));  // local: task 3
+  ASSERT_TRUE(queue.Pop(3, &task));  // steals 0 -> 3
+  ASSERT_TRUE(queue.Pop(3, &task));  // steals 0 -> 3
+  EXPECT_FALSE(queue.Pop(0, &task));
+  const ShardedTaskQueue::RunStats stats = queue.run_stats();
+  EXPECT_EQ(Steals(stats, 3, 0), 2u);
+  EXPECT_EQ(Steals(stats, 0, 3), 0u);  // direction matters
+  EXPECT_EQ(stats.tasks_stolen, 2u);
+  EXPECT_EQ(stats.local_pops, 1u);
 }
 
 TEST(ShardedTaskQueue, InactiveShardSeedsRemapOntoActiveShards) {
-  ShardedTaskQueue queue(4);
   // Only nodes 0 and 2 host workers (e.g. a 2-thread team).
-  queue.BeginRun({0, 2}, nullptr);
+  ShardedTaskQueue queue(numa::Topology(4), {0, 2});
   queue.SeedTask(0, JoinTask{0});
   queue.SeedTask(1, JoinTask{1});  // inactive -> remapped
   queue.SeedTask(2, JoinTask{2});
@@ -392,43 +410,21 @@ TEST(ShardedTaskQueue, InactiveShardSeedsRemapOntoActiveShards) {
   EXPECT_EQ(seen, (std::set<uint32_t>{0, 1, 2, 3}));
 }
 
-TEST(ShardedTaskQueue, BeginRunDropsStaleTasksFromAbortedRuns) {
-  ShardedTaskQueue queue(4);
-  queue.BeginRun(AllShards(4), nullptr);
-  queue.SeedTask(0, JoinTask{1});
-  queue.SeedTask(3, JoinTask{2});
-  // An aborted join leaves tasks behind; the next run must not see them.
-  queue.BeginRun(AllShards(4), nullptr);
-  EXPECT_EQ(queue.SizeForTest(), 0u);
-  JoinTask task;
-  EXPECT_FALSE(queue.Pop(0, &task));
-  EXPECT_EQ(queue.run_stats().tasks_stolen, 0u);
-}
-
-TEST(ShardedTaskQueue, ConcurrentDrainWithSkewPushesLosesNothing) {
-  // Empty-queue termination under concurrent push-from-skew-split: workers
-  // drain while the first kSplits pops each push one extra task. Every
+TEST(ShardedTaskQueue, ConcurrentDrainLosesNothing) {
+  // Empty-queue termination under concurrent pops and steals: every seeded
   // task must be seen exactly once and every worker must terminate.
   constexpr uint32_t kSeeded = 1200;
-  constexpr uint32_t kSplits = 64;
-  ShardedTaskQueue queue(4);
-  queue.BeginRun(AllShards(4), nullptr);
+  ShardedTaskQueue queue(numa::Topology(4), AllShards(4));
   for (uint32_t p = 0; p < kSeeded; ++p) {
     queue.SeedTask(static_cast<int>(p) % 4, JoinTask{p});
   }
-  std::vector<std::atomic<int>> seen(kSeeded + kSplits);
+  std::vector<std::atomic<int>> seen(kSeeded);
   for (auto& s : seen) s = 0;
-  std::atomic<uint32_t> next_split{0};
   ASSERT_TRUE(GlobalExecutor().Dispatch(8, [&](const WorkerContext& ctx) {
     const int node = numa::Topology(4).NodeOfThread(ctx.thread_id, 8);
     JoinTask task;
     while (queue.Pop(node, &task)) {
       seen[task.partition].fetch_add(1, std::memory_order_relaxed);
-      const uint32_t split =
-          next_split.fetch_add(1, std::memory_order_relaxed);
-      if (split < kSplits) {
-        queue.Push(node, JoinTask{kSeeded + split});
-      }
     }
   }).ok());
   for (std::size_t p = 0; p < seen.size(); ++p) {
@@ -436,8 +432,7 @@ TEST(ShardedTaskQueue, ConcurrentDrainWithSkewPushesLosesNothing) {
   }
   EXPECT_EQ(queue.SizeForTest(), 0u);
   const ShardedTaskQueue::RunStats stats = queue.run_stats();
-  EXPECT_EQ(stats.local_pops + stats.tasks_stolen,
-            uint64_t{kSeeded} + kSplits);
+  EXPECT_EQ(stats.local_pops + stats.tasks_stolen, uint64_t{kSeeded});
 }
 
 // --- BuildSkewTasks -------------------------------------------------------

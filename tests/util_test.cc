@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "util/bits.h"
 #include "util/cli.h"
@@ -119,7 +120,7 @@ TEST(Rng, NextDoubleInUnitInterval) {
 
 TEST(Cli, ParsesEqualsForm) {
   const char* argv[] = {"prog", "--threads=8", "--size=1000000"};
-  CommandLine cli(3, const_cast<char**>(argv));
+  CommandLine cli(3, const_cast<char**>(argv), {"threads", "size", "missing"});
   EXPECT_EQ(cli.GetInt("threads", 1), 8);
   EXPECT_EQ(cli.GetInt("size", 0), 1000000);
   EXPECT_EQ(cli.GetInt("missing", 42), 42);
@@ -127,7 +128,7 @@ TEST(Cli, ParsesEqualsForm) {
 
 TEST(Cli, ParsesSpaceForm) {
   const char* argv[] = {"prog", "--name", "cprl", "--flag"};
-  CommandLine cli(4, const_cast<char**>(argv));
+  CommandLine cli(4, const_cast<char**>(argv), {"name", "flag", "other"});
   EXPECT_EQ(cli.GetString("name", ""), "cprl");
   EXPECT_TRUE(cli.GetBool("flag", false));
   EXPECT_FALSE(cli.GetBool("other", false));
@@ -135,7 +136,7 @@ TEST(Cli, ParsesSpaceForm) {
 
 TEST(Cli, ParsesDoublesAndBools) {
   const char* argv[] = {"prog", "--theta=0.99", "--huge=false"};
-  CommandLine cli(3, const_cast<char**>(argv));
+  CommandLine cli(3, const_cast<char**>(argv), {"theta", "huge"});
   EXPECT_DOUBLE_EQ(cli.GetDouble("theta", 0.0), 0.99);
   EXPECT_FALSE(cli.GetBool("huge", true));
 }
@@ -144,7 +145,8 @@ TEST(Cli, MalformedValuesExitWithUsage) {
   const char* argv[] = {"prog", "--threads=abc", "--theta=0.5x",
                         "--huge=maybe", "--size=99999999999999999999",
                         "--bare"};
-  CommandLine cli(6, const_cast<char**>(argv));
+  CommandLine cli(6, const_cast<char**>(argv),
+                  {"threads", "theta", "huge", "size", "bare"});
   EXPECT_EXIT(cli.GetInt("threads", 4), ::testing::ExitedWithCode(2),
               "malformed value for --threads: 'abc'\nusage: prog");
   EXPECT_EXIT(cli.GetDouble("theta", 0.0), ::testing::ExitedWithCode(2),
@@ -159,10 +161,32 @@ TEST(Cli, MalformedValuesExitWithUsage) {
 
 TEST(Cli, CollectsPositional) {
   const char* argv[] = {"prog", "one", "--k=1", "two"};
-  CommandLine cli(4, const_cast<char**>(argv));
+  CommandLine cli(4, const_cast<char**>(argv), {"k"});
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "one");
   EXPECT_EQ(cli.positional()[1], "two");
+}
+
+// A name the binary did not declare is a usage error: exit 2 with the flag
+// named and the declared set listed, whatever form it was passed in.
+// --help lists the same set on stdout and exits 0.
+TEST(Cli, UnknownFlagsExitWithUsage) {
+  const auto parse = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    CommandLine cli(static_cast<int>(args.size()),
+                    const_cast<char**>(args.data()), {"join", "build"});
+    (void)cli;
+  };
+  EXPECT_EXIT(parse({"--join=PRO", "--algo=NOP"}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --algo\nusage: prog .*--join --build");
+  EXPECT_EXIT(parse({"--radix-bits", "6"}), ::testing::ExitedWithCode(2),
+              "unknown flag --radix-bits");
+  EXPECT_EXIT(parse({"--verbose"}), ::testing::ExitedWithCode(2),
+              "unknown flag --verbose");
+  EXPECT_EXIT(parse({"--help"}), ::testing::ExitedWithCode(0), "");
+  // Declared flags in every form parse without exiting.
+  parse({"--join=PRO", "--build", "100", "positional"});
 }
 
 TEST(TablePrinter, FormatsAlignedTable) {
