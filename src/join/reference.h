@@ -16,10 +16,14 @@ class Executor;
 
 namespace mmjoin::join {
 
-// Computes (matches, checksum) with std::unordered_multimap semantics.
-// Single-threaded by default; with an executor the probe phase runs as one
-// ParallelFor over the persistent pool (the build stays serial), which keeps
-// the oracle exact while making large differential tests affordable.
+// Computes (matches, checksum) of the equi-join with bag semantics: every
+// build tuple matches every probe tuple with its key, duplicates on both
+// sides included. The build side becomes one sorted array of packed
+// (key, payload) words that each probe tuple binary-searches, so the oracle
+// holds about 9 bytes per build tuple (the array and a bucket directory over
+// it). Single-threaded by default; with an executor the probe phase runs as
+// one ParallelFor over the persistent pool (the build stays serial), which
+// keeps the oracle exact while making large differential tests affordable.
 JoinResult ReferenceJoin(ConstTupleSpan build, ConstTupleSpan probe,
                          thread::Executor* executor = nullptr);
 

@@ -32,7 +32,7 @@ constexpr std::size_t kMmapThreshold = 1 << 20;
 
 struct MmapTag {
   // We over-allocate by one small page to stash this header, so Free can
-  // reconstruct the mapping and retain it for an exact-fit reuse.
+  // reconstruct the mapping and retain it for reuse.
   void* base;
   std::size_t length;
   std::size_t pages;  // RoundUp(bytes, 4 KB): the prefaulted part
@@ -60,6 +60,19 @@ void UnpoisonMapping(const MmapTag& tag) {
 #endif
 }
 
+// Hands a reused mapping to a caller of `bytes`: only the header and
+// [user, user + bytes) become addressable. A mapping larger than the request
+// keeps its tail poisoned, so an overrun past `bytes` still reports.
+void UnpoisonForCaller(const MmapTag& tag, std::size_t bytes) {
+#if defined(MMJOIN_ASAN)
+  ASAN_UNPOISON_MEMORY_REGION(static_cast<char*>(tag.user) - sizeof(MmapTag),
+                              sizeof(MmapTag) + bytes);
+#else
+  (void)tag;
+  (void)bytes;
+#endif
+}
+
 // Freed mappings kept for reuse, and the bytes the bound is taken over.
 // Each mapping counts its prefaulted pages (not its unfaulted alignment
 // slack), so the counts track what is resident. `mapped_bytes` covers the
@@ -84,6 +97,7 @@ struct AtomicAllocStats {
   std::atomic<uint64_t> total_allocations{0};
   std::atomic<uint64_t> mmap_allocations{0};
   std::atomic<uint64_t> reused_mappings{0};
+  std::atomic<uint64_t> reused_larger{0};
   std::atomic<uint64_t> huge_page_requests{0};
   std::atomic<uint64_t> huge_page_fallbacks{0};
   std::atomic<uint64_t> mmap_failures{0};
@@ -133,24 +147,30 @@ void Unmap(const MmapTag& tag) {
   ::munmap(tag.base, tag.length);
 }
 
-// Takes an exact fit (same length, page policy and alignment, hence the
-// same `pages`) off the retained list, newest first. On a miss, evicts the
-// oldest mappings until a new mapping of `pages` fits under the bound, and
-// charges it; the caller unmaps `evicted` and maps. The charge is taken
-// before mmap so concurrent misses cannot overshoot the bound together.
-bool TakeRetained(std::size_t length, std::size_t pages, PagePolicy policy,
-                  std::size_t align, MmapTag* hit,
-                  std::vector<MmapTag>* evicted) {
+// Takes the best fit off the retained list: the smallest mapping with the
+// same page policy and alignment whose prefaulted `pages` hold the request,
+// the newest among equals. An exact fit is the smallest there can be. A hit
+// is charged at its own `pages`. On a miss, evicts the oldest mappings
+// until a new mapping of `pages` fits under the bound, and charges it; the
+// caller unmaps `evicted` and maps. The charge is taken before mmap so
+// concurrent misses cannot overshoot the bound together.
+bool TakeRetained(std::size_t pages, PagePolicy policy, std::size_t align,
+                  MmapTag* hit, std::vector<MmapTag>* evicted) {
   MappingPool& pool = Pool();
   MutexLock lock(pool.mutex);
-  for (auto it = pool.retained.rbegin(); it != pool.retained.rend(); ++it) {
-    if (it->length == length && it->policy == policy && it->align == align) {
-      *hit = *it;
-      pool.retained.erase(std::next(it).base());
-      pool.retained_bytes -= pages;
-      pool.mapped_bytes += pages;
-      return true;
+  auto best = pool.retained.end();
+  for (auto it = pool.retained.begin(); it != pool.retained.end(); ++it) {
+    if (it->policy == policy && it->align == align && it->pages >= pages &&
+        (best == pool.retained.end() || it->pages <= best->pages)) {
+      best = it;
     }
+  }
+  if (best != pool.retained.end()) {
+    *hit = *best;
+    pool.retained.erase(best);
+    pool.retained_bytes -= hit->pages;
+    pool.mapped_bytes += hit->pages;
+    return true;
   }
   const uint64_t limit =
       std::max<uint64_t>(pool.high_water, pool.mapped_bytes + pages);
@@ -183,9 +203,10 @@ StatusOr<void*> AllocateMapping(std::size_t bytes, std::size_t alignment,
 
   MmapTag reused{};
   std::vector<MmapTag> evicted;
-  if (TakeRetained(length, pages, policy, align, &reused, &evicted)) {
-    UnpoisonMapping(reused);
+  if (TakeRetained(pages, policy, align, &reused, &evicted)) {
+    UnpoisonForCaller(reused, bytes);
     Bump(g_alloc_stats.reused_mappings);
+    if (reused.pages > pages) Bump(g_alloc_stats.reused_larger);
     if (reused.huge_fallback) Bump(g_alloc_stats.huge_page_fallbacks);
     AddResident(bytes);
     return reused.user;
@@ -270,6 +291,8 @@ const obs::MetricsProviderRegistration kAllocProvider(
       metrics->push_back(
           obs::Metric{"alloc.reused_mappings", stats.reused_mappings});
       metrics->push_back(
+          obs::Metric{"alloc.reused_larger_mappings", stats.reused_larger});
+      metrics->push_back(
           obs::Metric{"alloc.huge_page_requests", stats.huge_page_requests});
       metrics->push_back(
           obs::Metric{"alloc.huge_page_fallbacks", stats.huge_page_fallbacks});
@@ -295,6 +318,8 @@ AllocStats GetAllocStats() {
       g_alloc_stats.mmap_allocations.load(std::memory_order_relaxed);
   out.reused_mappings =
       g_alloc_stats.reused_mappings.load(std::memory_order_relaxed);
+  out.reused_larger =
+      g_alloc_stats.reused_larger.load(std::memory_order_relaxed);
   out.huge_page_requests =
       g_alloc_stats.huge_page_requests.load(std::memory_order_relaxed);
   out.huge_page_fallbacks =

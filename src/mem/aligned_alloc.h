@@ -8,17 +8,21 @@
 // request degrades to plain aligned allocation.
 //
 // Large requests (>= 1 MiB) are mmap-backed, and freeing one does not unmap
-// it: the mapping goes onto one process-wide retained list, and the next
-// request with exactly the same mapping length, page policy and alignment
-// gets it back without an mmap. A join that runs again on inputs of the same
-// size therefore finds its partition buffers and tables already faulted in
-// -- the paper's buffer-manager assumption (Section 5.1). The list is
+// it: the mapping goes onto one process-wide retained list. A request takes
+// the best fit from that list without an mmap: the smallest retained
+// mapping with the same page policy and alignment whose prefaulted part
+// holds the request, the newest among equals (an exact fit therefore always
+// wins). The joins that take turns on one Joiner therefore find their
+// partition buffers and tables already faulted in, even when their sizes
+// differ -- the paper's buffer-manager assumption (Section 5.1), and the
+// frame-pool rule of a hybrid hash join's memory manager. The list is
 // bounded without a knob: mapped plus retained bytes (each mapping counted
-// by its prefaulted part, the request rounded up to 4 KB) never exceed the
-// process's own high-water mark of mapped bytes, and a miss evicts the
-// oldest retained mappings (munmap) until the new mapping fits under
-// max(high-water mark, mapped + request). Only a fresh mapping is
-// prefaulted (one touch per 4 KB page, in the allocating thread).
+// by its own prefaulted part, its request rounded up to 4 KB, also when a
+// smaller request holds it) never exceed the process's own high-water mark
+// of mapped bytes, and a miss evicts the oldest retained mappings (munmap)
+// until the new mapping fits under max(high-water mark, mapped + request).
+// Only a fresh mapping is prefaulted (one touch per 4 KB page, in the
+// allocating thread).
 
 #ifndef MMJOIN_MEM_ALIGNED_ALLOC_H_
 #define MMJOIN_MEM_ALIGNED_ALLOC_H_
@@ -46,6 +50,7 @@ struct AllocStats {
   uint64_t total_allocations = 0;
   uint64_t mmap_allocations = 0;     // real mmap calls that succeeded
   uint64_t reused_mappings = 0;      // requests served by a retained mapping
+  uint64_t reused_larger = 0;        // ... by one larger than the request
   uint64_t huge_page_requests = 0;
   uint64_t huge_page_fallbacks = 0;  // MADV_HUGEPAGE refused/unavailable
   uint64_t mmap_failures = 0;        // real mmap/posix_memalign failures
@@ -95,7 +100,8 @@ StatusOr<void*> TryAllocateAligned(std::size_t bytes, std::size_t alignment,
 // Frees memory obtained from TryAllocateAligned. `bytes` must match the
 // original request. A large mapping is retained for reuse (see above); under
 // ASan it stays poisoned until reused, so a dangling pointer still reports
-// use-after-free.
+// use-after-free, and a reuse unpoisons only the caller's `bytes`, so an
+// overrun into a larger mapping's tail reports too.
 void FreeAligned(void* ptr, std::size_t bytes);
 
 }  // namespace mmjoin::mem

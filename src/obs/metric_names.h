@@ -22,6 +22,7 @@
   X("alloc.total_allocations")      \
   X("alloc.mmap_allocations")       \
   X("alloc.reused_mappings")        \
+  X("alloc.reused_larger_mappings") \
   X("alloc.huge_page_requests")     \
   X("alloc.huge_page_fallbacks")    \
   X("alloc.mmap_failures")          \

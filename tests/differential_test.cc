@@ -166,15 +166,17 @@ std::vector<int> AllOrderedPairsWalk(int n) {
 }
 
 // Stale-memory differential: a freed buffer above the mmap threshold is
-// retained and handed back on an exact fit without being cleared, so a
-// kernel that read a buffer before writing it would see the previous join's
-// data. On one Joiner every algorithm runs right after every other (all
-// 13 x 13 ordered pairs, walked once each); consecutive runs alternate
-// between two input sets of the same size under different seeds, so a run
-// reuses its predecessor's mappings wherever the sizes fit. |R| = 200K and
-// |S| = 800K put the buffers on the mmap path. Dense builds of one size
-// hold the same keys under any seed, so each input set also salts its build
-// payloads: a stale build tuple changes the checksum.
+// retained and handed back to the next request it is the best fit for,
+// without being cleared, so a kernel that read a buffer before writing it
+// would see the previous join's data -- also across sizes, since a request
+// can get a larger mapping another join left behind. On one Joiner every
+// algorithm runs right after every other (all 13 x 13 ordered pairs, walked
+// once each); consecutive runs alternate between two input sets of the same
+// size under different seeds, so a run reuses its predecessor's mappings
+// wherever they fit. |R| = 200K and |S| = 800K put the buffers on the mmap
+// path. Dense builds of one size hold the same keys under any seed, so each
+// input set also salts its build payloads: a stale build tuple changes the
+// checksum.
 TEST(DifferentialStaleMemoryTest, EveryAlgorithmAfterEveryOther) {
   core::Joiner joiner;
   constexpr uint64_t kBuild = 200000;
@@ -206,7 +208,7 @@ TEST(DifferentialStaleMemoryTest, EveryAlgorithmAfterEveryOther) {
   const std::vector<int> walk = AllOrderedPairsWalk(n);
   ASSERT_EQ(walk.size(), static_cast<std::size_t>(n * n + 1));
 
-  const uint64_t reused_before = mem::GetAllocStats().reused_mappings;
+  const mem::AllocStats before = mem::GetAllocStats();
   for (std::size_t i = 0; i < walk.size(); ++i) {
     const Algorithm algorithm = algorithms[walk[i]];
     const Inputs& in = inputs[i % 2];
@@ -219,7 +221,9 @@ TEST(DifferentialStaleMemoryTest, EveryAlgorithmAfterEveryOther) {
     EXPECT_EQ(result.matches, in.expected.matches) << label;
     EXPECT_EQ(result.checksum, in.expected.checksum) << label;
   }
-  EXPECT_GT(mem::GetAllocStats().reused_mappings, reused_before);
+  const mem::AllocStats after = mem::GetAllocStats();
+  EXPECT_GT(after.reused_mappings, before.reused_mappings);
+  EXPECT_GT(after.reused_larger, before.reused_larger);
 }
 
 }  // namespace

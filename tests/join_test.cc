@@ -20,6 +20,7 @@
 #include "obs/phase_profile.h"
 #include "obs/trace.h"
 #include "partition/model.h"
+#include "thread/executor.h"
 #include "util/bits.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -251,6 +252,91 @@ TEST(MwayJoin, SeventySevenRunsInOnePartition) {
       workload::MakeZipfProbe(System(), 2500000, 250000, 0.85, 33).value();
   ExpectMatchesReference(Algorithm::kMWAY, build, zipf, config,
                          "77 runs, Zipf 0.85");
+}
+
+// --- The reference join ----------------------------------------------------
+
+// Nested loops over every (r, s) pair: the oracle for the oracle.
+std::vector<std::pair<uint32_t, uint32_t>> NestedLoopPairs(
+    const std::vector<Tuple>& build, const std::vector<Tuple>& probe) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  for (const Tuple& s : probe) {
+    for (const Tuple& r : build) {
+      if (r.key == s.key) pairs.emplace_back(r.payload, s.payload);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+JoinResult ResultOf(const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
+  JoinResult result;
+  for (const auto& [r, s] : pairs) {
+    ++result.matches;
+    result.checksum += static_cast<uint64_t>(r) + s;
+  }
+  return result;
+}
+
+// Duplicates on both sides, the extreme keys 0 and UINT32_MAX, keys missing
+// from either side, and empty and one-tuple sides: ReferenceJoin,
+// ReferenceJoinPairs and nested loops agree on every combination.
+TEST(ReferenceJoinTest, AgreesWithPairsAndNestedLoops) {
+  constexpr uint32_t kMax = UINT32_MAX;
+  const std::vector<std::vector<Tuple>> sides = {
+      {},
+      {{kMax, 1}},
+      {{0, 2}},
+      {{0, 1}, {kMax, 2}, {5, 3}, {0, 4}, {kMax, 5}, {5, 6}, {5, 7}, {9, 8}},
+      {{kMax, 10}, {0, 11}, {5, 12}, {6, 13}, {kMax, 14}, {1, 15}, {5, 16}},
+  };
+  thread::Executor executor(4);
+  for (std::size_t b = 0; b < sides.size(); ++b) {
+    for (std::size_t p = 0; p < sides.size(); ++p) {
+      const auto expected = NestedLoopPairs(sides[b], sides[p]);
+      EXPECT_EQ(ReferenceJoinPairs(sides[b], sides[p]), expected)
+          << "build " << b << ", probe " << p;
+      const JoinResult serial = ReferenceJoin(sides[b], sides[p]);
+      EXPECT_EQ(serial.matches, ResultOf(expected).matches)
+          << "build " << b << ", probe " << p;
+      EXPECT_EQ(serial.checksum, ResultOf(expected).checksum)
+          << "build " << b << ", probe " << p;
+      const JoinResult parallel =
+          ReferenceJoin(sides[b], sides[p], &executor);
+      EXPECT_EQ(parallel.matches, serial.matches);
+      EXPECT_EQ(parallel.checksum, serial.checksum);
+    }
+  }
+}
+
+// The serial path and the executor path agree on a sparse build with
+// duplicate keys (keys spread over the whole 32-bit domain, so the sorted
+// array's directory buckets hold several keys each) and a probe that
+// misses often.
+TEST(ReferenceJoinTest, SerialAndExecutorPathsAgree) {
+  Rng rng(0x0AC1Eu);
+  std::vector<Tuple> build(20000);
+  for (std::size_t i = 0; i < build.size(); ++i) {
+    const uint32_t key =
+        i % 4 == 3 ? build[i - 1].key : static_cast<uint32_t>(rng.Next());
+    build[i] = Tuple{key, static_cast<uint32_t>(i)};
+  }
+  std::vector<Tuple> probe(80000);
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    const uint32_t key = i % 2 == 0
+                             ? build[rng.NextBelow(build.size())].key
+                             : static_cast<uint32_t>(rng.Next());
+    probe[i] = Tuple{key, static_cast<uint32_t>(i * 7)};
+  }
+  thread::Executor executor(4);
+  const JoinResult serial = ReferenceJoin(build, probe);
+  const JoinResult parallel = ReferenceJoin(build, probe, &executor);
+  EXPECT_GE(serial.matches, probe.size() / 2);
+  EXPECT_EQ(parallel.matches, serial.matches);
+  EXPECT_EQ(parallel.checksum, serial.checksum);
+  const JoinResult from_pairs = ResultOf(ReferenceJoinPairs(build, probe));
+  EXPECT_EQ(serial.matches, from_pairs.matches);
+  EXPECT_EQ(serial.checksum, from_pairs.checksum);
 }
 
 // --- Registry metadata ------------------------------------------------------

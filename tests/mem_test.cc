@@ -3,16 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "mem/aligned_alloc.h"
 #include "mem/nt_store.h"
+#include "thread/executor.h"
 #include "util/failpoint.h"
 #include "util/macros.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -22,6 +26,8 @@
 
 namespace mmjoin::mem {
 namespace {
+
+constexpr std::size_t kMiB = 1 << 20;
 
 TEST(AlignedAlloc, SmallAllocationAligned) {
   const StatusOr<void*> allocated =
@@ -97,7 +103,6 @@ TEST(RetainedMappings, SameSizeReallocationReusesTheMapping) {
 }
 
 TEST(RetainedMappings, MappedPlusRetainedNeverExceedsTheHighWaterMark) {
-  constexpr std::size_t kMiB = 1 << 20;
   const std::size_t sizes[] = {kMiB, 2 * kMiB, 3 * kMiB + 4096, 5 * kMiB,
                                8 * kMiB};
   const PagePolicy policies[] = {PagePolicy::kDefault, PagePolicy::kSmall,
@@ -153,43 +158,169 @@ TEST(RetainedMappings, InjectedFailureFiresBeforeReuse) {
   FreeAligned(again, bytes);
 }
 
-// A retained mapping goes only to a request with the same page policy, even
-// when the mapping lengths match: `huge` bytes under kHuge and
-// `huge` + 2 MiB - 4 KB under kSmall map the same length, and kHuge and
-// kDefault share theirs. Each case uses its own odd size, so no mapping left
-// by another case or test can serve the request.
+// A retained mapping goes only to a request with the same page policy. With
+// a 2 MiB alignment every policy maps at the same alignment, so only the
+// policy tells the freed mapping and the request apart; the request is 8
+// bytes smaller than the freed mapping, so without the policy rule the freed
+// mapping (the newest of its size) would be the best fit. Whatever other
+// tests left on the list, a reuse must not hand back the freed mapping.
 TEST(RetainedMappings, PagePoliciesAreNeverMixed) {
-  const auto huge = [](std::size_t k) {
-    return kHugePageSize + k * kSmallPageSize + 8;
-  };
-  const auto small = [&](std::size_t k) {
-    return huge(k) + kHugePageSize - kSmallPageSize;
-  };
-  struct Case {
-    PagePolicy freed;
-    std::size_t freed_bytes;
-    PagePolicy requested;
-    std::size_t requested_bytes;
-  };
-  const Case cases[] = {
-      {PagePolicy::kHuge, huge(11), PagePolicy::kSmall, small(11)},
-      {PagePolicy::kSmall, small(12), PagePolicy::kHuge, huge(12)},
-      {PagePolicy::kHuge, huge(13), PagePolicy::kDefault, huge(13)},
-      {PagePolicy::kDefault, huge(14), PagePolicy::kHuge, huge(14)},
-  };
-  for (const Case& c : cases) {
-    void* freed = TryAllocateAligned(c.freed_bytes, 64, c.freed).value();
-    FreeAligned(freed, c.freed_bytes);
-    const AllocStats before = GetAllocStats();
-    void* got =
-        TryAllocateAligned(c.requested_bytes, 64, c.requested).value();
-    const AllocStats after = GetAllocStats();
-    // No pointer comparison: the miss may evict the freed mapping, and the
-    // fresh mmap can land at the same address.
-    EXPECT_EQ(after.reused_mappings, before.reused_mappings);
-    EXPECT_EQ(after.mmap_allocations, before.mmap_allocations + 1);
-    FreeAligned(got, c.requested_bytes);
+  const PagePolicy policies[] = {PagePolicy::kDefault, PagePolicy::kSmall,
+                                 PagePolicy::kHuge};
+  const std::size_t bytes = 3 * kHugePageSize + 5 * kSmallPageSize + 64;
+  for (const PagePolicy freed_policy : policies) {
+    for (const PagePolicy requested_policy : policies) {
+      if (freed_policy == requested_policy) continue;
+      void* freed =
+          TryAllocateAligned(bytes, kHugePageSize, freed_policy).value();
+      FreeAligned(freed, bytes);
+      const AllocStats before = GetAllocStats();
+      void* got =
+          TryAllocateAligned(bytes - 8, kHugePageSize, requested_policy)
+              .value();
+      const AllocStats after = GetAllocStats();
+      // A miss may evict the freed mapping, and the fresh mmap can land at
+      // the same address; only a reuse must not be the freed mapping.
+      if (after.reused_mappings > before.reused_mappings) {
+        EXPECT_NE(got, freed);
+      }
+      FreeAligned(got, bytes - 8);
+    }
   }
+}
+
+// The best-fit tests below allocate at an alignment no other test uses, so
+// their mappings are the only candidates for their requests. Each allocates
+// every mapping it frees first, which takes back what an earlier repeat of
+// the test left on the list.
+TEST(RetainedMappings, SmallerRequestGetsSmallestMappingThatHoldsIt) {
+  constexpr std::size_t kAlign = 4 * kMiB;
+  void* seven = TryAllocateAligned(7 * kMiB, kAlign, PagePolicy::kDefault)
+                    .value();
+  void* three = TryAllocateAligned(3 * kMiB, kAlign, PagePolicy::kDefault)
+                    .value();
+  void* five = TryAllocateAligned(5 * kMiB, kAlign, PagePolicy::kDefault)
+                   .value();
+  FreeAligned(three, 3 * kMiB);
+  FreeAligned(seven, 7 * kMiB);
+  FreeAligned(five, 5 * kMiB);
+
+  const AllocStats before = GetAllocStats();
+  void* got =
+      TryAllocateAligned(2 * kMiB, kAlign, PagePolicy::kDefault).value();
+  const AllocStats after = GetAllocStats();
+  EXPECT_EQ(got, three);
+  EXPECT_EQ(after.mmap_allocations, before.mmap_allocations);
+  EXPECT_EQ(after.reused_mappings, before.reused_mappings + 1);
+  EXPECT_EQ(after.reused_larger, before.reused_larger + 1);
+  // The mapping is charged at its own size, not the request's.
+  EXPECT_EQ(after.mapped_bytes, before.mapped_bytes + 3 * kMiB);
+  EXPECT_EQ(after.retained_bytes + 3 * kMiB, before.retained_bytes);
+  EXPECT_EQ(after.current_bytes, before.current_bytes + 2 * kMiB);
+  std::memset(got, 0x3C, 2 * kMiB);
+  FreeAligned(got, 2 * kMiB);
+}
+
+TEST(RetainedMappings, ExactFitBeatsALargerMapping) {
+  constexpr std::size_t kAlign = 8 * kMiB;
+  void* exact = TryAllocateAligned(3 * kMiB, kAlign, PagePolicy::kDefault)
+                    .value();
+  void* larger = TryAllocateAligned(6 * kMiB, kAlign, PagePolicy::kDefault)
+                     .value();
+  // The larger mapping is the newer one.
+  FreeAligned(exact, 3 * kMiB);
+  FreeAligned(larger, 6 * kMiB);
+
+  const AllocStats before = GetAllocStats();
+  void* got =
+      TryAllocateAligned(3 * kMiB, kAlign, PagePolicy::kDefault).value();
+  const AllocStats after = GetAllocStats();
+  EXPECT_EQ(got, exact);
+  EXPECT_EQ(after.reused_mappings, before.reused_mappings + 1);
+  EXPECT_EQ(after.reused_larger, before.reused_larger);
+  FreeAligned(got, 3 * kMiB);
+}
+
+TEST(RetainedMappings, TiesGoToTheNewestMapping) {
+  constexpr std::size_t kAlign = 16 * kMiB;
+  void* older = TryAllocateAligned(5 * kMiB, kAlign, PagePolicy::kDefault)
+                    .value();
+  void* newer = TryAllocateAligned(5 * kMiB, kAlign, PagePolicy::kDefault)
+                    .value();
+  FreeAligned(older, 5 * kMiB);
+  FreeAligned(newer, 5 * kMiB);
+
+  void* got =
+      TryAllocateAligned(4 * kMiB, kAlign, PagePolicy::kDefault).value();
+  EXPECT_EQ(got, newer);
+  void* next =
+      TryAllocateAligned(4 * kMiB, kAlign, PagePolicy::kDefault).value();
+  EXPECT_EQ(next, older);
+  FreeAligned(got, 4 * kMiB);
+  FreeAligned(next, 4 * kMiB);
+}
+
+// Allocations and frees race over the executor's workers, mixing sizes and
+// policies: at every step mapped plus retained bytes stay under the
+// high-water mark, and no two live allocations overlap (a mapping handed
+// out twice would). Run under TSan in CI.
+TEST(RetainedMappings, ConcurrentAllocateAndFreeNeverShareAMapping) {
+  const std::size_t sizes[] = {kMiB, 2 * kMiB + 4096, 3 * kMiB, 5 * kMiB};
+  const PagePolicy policies[] = {PagePolicy::kDefault, PagePolicy::kSmall,
+                                 PagePolicy::kHuge};
+  constexpr int kThreads = 4;
+  constexpr std::size_t kStepsPerThread = 150;
+  thread::Executor executor(kThreads);
+  Mutex mutex;
+  std::map<std::uintptr_t, std::uintptr_t> live;  // begin -> end
+  std::atomic<int> overlaps{0};
+  std::atomic<int> bound_violations{0};
+  ASSERT_TRUE(
+      executor
+          .ParallelFor(
+              kThreads * kStepsPerThread,
+              [&](std::size_t begin, std::size_t end,
+                  const thread::WorkerContext&) {
+                Rng rng(0xC0FFEEu + begin);
+                for (std::size_t step = begin; step < end; ++step) {
+                  const std::size_t bytes =
+                      sizes[rng.NextBelow(std::size(sizes))];
+                  const PagePolicy policy =
+                      policies[rng.NextBelow(std::size(policies))];
+                  char* p = static_cast<char*>(
+                      TryAllocateAligned(bytes, 64, policy).value());
+                  const auto lo = reinterpret_cast<std::uintptr_t>(p);
+                  const auto hi = lo + bytes;
+                  {
+                    MutexLock lock(mutex);
+                    auto next = live.lower_bound(lo);
+                    const bool hits_next = next != live.end() &&
+                                           next->first < hi;
+                    const bool hits_prev = next != live.begin() &&
+                                           std::prev(next)->second > lo;
+                    if (hits_next || hits_prev) ++overlaps;
+                    live.emplace(lo, hi);
+                  }
+                  p[0] = 1;
+                  p[bytes - 1] = 1;
+                  const AllocStats stats = GetAllocStats();
+                  if (stats.mapped_bytes + stats.retained_bytes >
+                      stats.mapped_high_water) {
+                    ++bound_violations;
+                  }
+                  {
+                    MutexLock lock(mutex);
+                    live.erase(lo);
+                  }
+                  FreeAligned(p, bytes);
+                }
+              })
+          .ok());
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(bound_violations.load(), 0);
+  const AllocStats stats = GetAllocStats();
+  EXPECT_LE(stats.mapped_bytes + stats.retained_bytes,
+            stats.mapped_high_water);
 }
 
 // Under ASan a retained mapping stays poisoned until it is reused, so a
@@ -210,6 +341,25 @@ TEST(RetainedMappings, RetainedMappingIsPoisonedUnderAsan) {
   EXPECT_FALSE(__asan_address_is_poisoned(again));
   EXPECT_FALSE(__asan_address_is_poisoned(again + bytes - 1));
   FreeAligned(again, bytes);
+}
+
+// A best-fit reuse unpoisons only the caller's bytes: an overrun into the
+// tail of a larger mapping still reports.
+TEST(RetainedMappings, LargerReusedMappingKeepsItsTailPoisonedUnderAsan) {
+  constexpr std::size_t kAlign = 32 * kMiB;  // no other test's mappings
+  char* p = static_cast<char*>(
+      TryAllocateAligned(7 * kMiB, kAlign, PagePolicy::kDefault).value());
+  FreeAligned(p, 7 * kMiB);
+  char* again = static_cast<char*>(
+      TryAllocateAligned(3 * kMiB, kAlign, PagePolicy::kDefault).value());
+  ASSERT_EQ(again, p);
+  EXPECT_FALSE(__asan_address_is_poisoned(again));
+  EXPECT_FALSE(__asan_address_is_poisoned(again + 3 * kMiB - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(again + 3 * kMiB));
+  EXPECT_TRUE(__asan_address_is_poisoned(again + 3 * kMiB + 4096));
+  EXPECT_DEATH(static_cast<volatile char*>(again)[3 * kMiB + 4096] = 1,
+               "use-after-poison");
+  FreeAligned(again, 3 * kMiB);
 }
 #endif  // MMJOIN_ASAN
 

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdint>
 
+#include "core/joiner.h"
 #include "hash/array_table.h"
 #include "hash/linear_probing_table.h"
+#include "mem/aligned_alloc.h"
 #include "memsim/cache.h"
 #include "memsim/replay.h"
 #include "numa/system.h"
@@ -139,6 +141,35 @@ TEST(Regression, Q19MorphStepOneIsCheapest) {
   EXPECT_LT(best[0], best[1])
       << "best-of-3 step ns: 1=" << best[0] << " 2=" << best[1]
       << " 3=" << best[2] << " 4=" << best[3] << " 5=" << best[4];
+}
+
+// Bug 7: the retained-mapping list reused a freed mapping only on an exact
+// fit and evicts oldest-first, so joins taking turns on one Joiner evicted
+// each other's mappings: NOP and MWAY did a fresh mmap plus a single-
+// threaded prefault in every round. With best-fit reuse, every join after
+// the first round finds a retained mapping, and the mapped high-water mark
+// does not move.
+TEST(Regression, RoundRobinJoinsMapNothingAfterRoundOne) {
+  core::Joiner joiner;
+  workload::Relation build =
+      workload::MakeDenseBuild(joiner.system(), 200000, 0x7E57u).value();
+  workload::Relation probe =
+      workload::MakeProbeFromBuild(joiner.system(), 800000, build, 0x7E58u)
+          .value();
+  uint64_t high_water_after_round_one = 0;
+  for (int round = 1; round <= 5; ++round) {
+    for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+      const uint64_t mmaps_before = mem::GetAllocStats().mmap_allocations;
+      ASSERT_TRUE(joiner.Run(algorithm, build, probe).ok());
+      if (round > 1) {
+        EXPECT_EQ(mem::GetAllocStats().mmap_allocations, mmaps_before)
+            << join::NameOf(algorithm) << " in round " << round;
+      }
+    }
+    const uint64_t high_water = mem::GetAllocStats().mapped_high_water;
+    if (round == 1) high_water_after_round_one = high_water;
+    EXPECT_EQ(high_water, high_water_after_round_one) << "round " << round;
+  }
 }
 
 }  // namespace
